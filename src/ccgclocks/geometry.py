@@ -25,9 +25,6 @@ from .constants import (
     Rate,
 )
 
-# Full pairwise validation/matrix construction is O(N^2); above this size the
-# coincidence check is deferred to the operations that actually need pairs.
-_PAIR_CHECK_LIMIT = 2048
 _PAIR_MATRIX_LIMIT = 4096
 
 
@@ -97,10 +94,9 @@ class ClockArray:
             if len(rest_masses) != len(omegas):
                 raise ValueError("rest_masses must match the number of clocks")
             rest_masses.setflags(write=False)
-        if len(omegas) <= _PAIR_CHECK_LIMIT:
-            i, j = _coincident_pair(positions)
-            if i is not None:
-                raise ValueError(f"clocks {i} and {j} are coincident")
+        i, j = _coincident_pair(positions)
+        if i is not None:
+            raise ValueError(f"clocks {i} and {j} are coincident")
         omegas.setflags(write=False)
         positions.setflags(write=False)
         self._omegas = omegas
@@ -231,13 +227,20 @@ class PairRateMatrix:
 
 
 def _coincident_pair(positions: np.ndarray):
-    diff = positions[:, None, :] - positions[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(d2, np.inf)
-    i, j = np.unravel_index(np.argmin(d2), d2.shape)
-    if d2[i, j] == 0.0:
-        return (int(min(i, j)), int(max(i, j)))
-    return (None, None)
+    """Lowest clock index sharing its position, and its lowest partner.
+
+    A stable lexsort puts equal positions next to each other in index order,
+    so this is O(N log N) at every N.
+    """
+    order = np.lexsort(positions.T[::-1])
+    ranked = positions[order]
+    same = np.all(ranked[1:] == ranked[:-1], axis=1)
+    if not same.any():
+        return (None, None)
+    # a run of equal rows starts with its lowest index; take the lowest run
+    starts = np.flatnonzero(same & ~np.concatenate(([False], same[:-1])))
+    k = starts[np.argmin(order[starts])]
+    return (int(order[k]), int(order[k + 1]))
 
 
 def build_lattice(dimension: int, lattice_constant: float, counts,
@@ -283,7 +286,7 @@ def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
     d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     off_diag = ~np.eye(n, dtype=bool)
     if np.any(d[off_diag] == 0.0):
-        i, j = _coincident_pair(pos)
+        i, j = np.argwhere((d == 0.0) & off_diag)[0]
         raise ValueError(f"clocks {i} and {j} are coincident")
     k = CONSTANTS.G * CONSTANTS.hbar / CONSTANTS.c**4
     with np.errstate(divide="ignore"):

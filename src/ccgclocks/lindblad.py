@@ -21,9 +21,11 @@ Matrix elements evolve in closed form,
     rho_ab(t) = rho_ab(0) * exp(-i (e_a - e_b) t) * exp(-Lambda_ab t),
     Lambda_ab = (z_a - z_b)^T M (z_a - z_b),
 
-which evolve_exact applies directly. evolve_numeric integrates the same master
-equation with fixed-step classical RK4 on the vectorized generator and serves
-as the independent oracle for the closed form.
+which evolve_exact applies directly. For positive semidefinite M, exp(-Lambda t)
+is a Gaussian kernel, so by the Schur product theorem the evolved state is PSD
+whenever rho(0) is: EvolutionModel certifies M once and evolved states skip the
+eigenvalue re-check. evolve_numeric is the independent RK4 oracle; it reads the
+generator off the master equation's commutators, not off Lambda.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .rates import MeasurementRates, dephasing_given_rates
 
 DENSE_CLOCK_LIMIT = 12       # 2^N density matrices
 ANALYTIC_CLOCK_LIMIT = 20    # closed-form coherences only
-NUMERIC_CLOCK_LIMIT = 6      # 4^N vectorized generator
+NUMERIC_CLOCK_LIMIT = 10     # 4^N superoperator diagonal
 
 _NAMED_KETS = {
     "zero": np.array([1.0, 0.0], dtype=complex),
@@ -98,6 +100,15 @@ class DensityMatrix:
         self._m = m
         self.n_clocks = n
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """Wrap a matrix that is a state by construction, without re-checking."""
+        rho = cls.__new__(cls)
+        matrix.setflags(write=False)
+        rho._m = matrix
+        rho.n_clocks = matrix.shape[0].bit_length() - 1
+        return rho
+
     @property
     def matrix(self) -> np.ndarray:
         return self._m
@@ -138,18 +149,22 @@ class DensityMatrix:
 
 def _z_table(n: int) -> np.ndarray:
     """(2^n, n) table of sigma_z eigenvalues; clock 0 is the leading bit."""
-    basis = np.arange(2 ** n)
-    z = np.empty((2 ** n, n))
-    for i in range(n):
-        z[:, i] = 1.0 - 2.0 * ((basis >> (n - 1 - i)) & 1)
-    return z
+    return 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> (n - 1 - np.arange(n))) & 1)
+
+
+def _coherence_pairs(n: int):
+    """(N, 2^(N-1)) indices a with bit i set, and a with bit i cleared."""
+    idx = np.arange(2 ** n)
+    shifts = n - 1 - np.arange(n)
+    upper = np.array([idx[(idx >> s) & 1 == 1] for s in shifts])
+    return upper, upper - (1 << shifts)[:, None]
 
 
 @dataclass(frozen=True)
 class EvolutionModel:
     """Hamiltonian plus dephasing data for one evolution kind.
 
-    `dephasing` is the full coefficient matrix M described in the module
+    `dephasing` is the symmetric positive semidefinite matrix M of the module
     docstring; its diagonal holds the per-clock rates. `time_unit` records how
     many seconds one unit of evolution time corresponds to (None = SI).
     """
@@ -177,6 +192,10 @@ class EvolutionModel:
             raise ValueError("dephasing matrix must be N x N")
         if np.any(np.diag(m) < 0):
             raise ValueError("per-clock dephasing rates must be non-negative")
+        if not np.array_equal(m, m.T):
+            raise ValueError("dephasing matrix must be symmetric")
+        if n and np.min(np.linalg.eigvalsh(m)) < -1e-12 * np.max(np.abs(m)):
+            raise ValueError("dephasing matrix must be positive semidefinite")
         if self.kind == "unitary" and np.any(m != 0):
             raise ValueError("unitary kind must have zero dephasing")
         if abs(self.interaction_sign) != 1.0:
@@ -222,16 +241,22 @@ class EvolutionModel:
 
 def _global_dephasing_matrix(g: np.ndarray, gamma: np.ndarray,
                              correlated: bool) -> np.ndarray:
-    n = len(gamma)
     m = np.diag(gamma / 2.0).astype(float)
-    for j in range(n):
-        b = g[:, j].copy()
-        b[j] = 0.0
+    for j in range(len(gamma)):
+        b = g[:, j]  # zero at j: the coupling diagonal is zero
         if correlated:
             m += np.outer(b, b) / (8.0 * gamma[j])
         else:
             m += np.diag(b ** 2) / (8.0 * gamma[j])
     return m
+
+
+def _channel_dephasing(g, rates: MeasurementRates, correlated: bool) -> np.ndarray:
+    if rates.mode == "pairwise":
+        return np.diag(dephasing_given_rates(g, rates).per_clock)
+    if len(rates) != len(g):
+        raise ValueError("rates do not match the array size")
+    return _global_dephasing_matrix(g.g, rates.global_gamma, correlated)
 
 
 def build_model(array: ClockArray, rates: MeasurementRates | None = None, *,
@@ -257,15 +282,9 @@ def build_model(array: ClockArray, rates: MeasurementRates | None = None, *,
     if rates is None:
         kind = "unitary"
         m = np.zeros((n, n))
-    elif rates.mode == "pairwise":
-        kind = "ccg-pairwise"
-        m = np.diag(dephasing_given_rates(g, rates).per_clock)
     else:
-        kind = "ccg-global"
-        if len(rates) != n:
-            raise ValueError("rates do not match the array size")
-        m = _global_dephasing_matrix(g.g, rates.global_gamma,
-                                     correlated_feedback_noise)
+        kind = f"ccg-{rates.mode}"
+        m = _channel_dephasing(g, rates, correlated_feedback_noise)
     return EvolutionModel(kind=kind, omegas=array.omegas.copy(),
                           coupling=g.g.copy(), dephasing=m,
                           analytic_only=analytic_only)
@@ -297,41 +316,41 @@ def dimensionless_model(coupling, kind: str = "ccg-pairwise", omegas=None,
                 raise ValueError("optimal rates are undefined for this coupling")
         if not isinstance(rates, MeasurementRates):
             raise ValueError("ccg kinds need measurement rates")
-        if kind == "ccg-pairwise":
-            if rates.mode != "pairwise":
-                raise ValueError("ccg-pairwise needs pairwise rates")
-            m = np.diag(dephasing_given_rates(g, rates).per_clock)
-        elif kind == "ccg-global":
-            if rates.mode != "global":
-                raise ValueError("ccg-global needs global rates")
-            m = _global_dephasing_matrix(g.g, rates.global_gamma,
-                                         correlated_feedback_noise)
-        else:
+        if kind not in ("ccg-pairwise", "ccg-global"):
             raise ValueError(f"unknown evolution kind {kind!r}")
+        if kind != f"ccg-{rates.mode}":
+            raise ValueError(f"{kind} needs {kind[4:]} rates")
+        m = _channel_dephasing(g, rates, correlated_feedback_noise)
     return EvolutionModel(kind=kind, omegas=w, coupling=g.g.copy(),
                           dephasing=m, time_unit=1.0)
 
 
 # -- propagation --------------------------------------------------------------
 
-def _phase_and_decay(model: EvolutionModel, t: float):
-    e = model.basis_energies()
+def _generator_tables(model: EvolutionModel):
+    """Energies e, sigma_z table z, z @ M and q_a = z_a^T M z_a, so that
+    Lambda_ab = q_a + q_b - 2 (z M z^T)_ab."""
     z = _z_table(model.n_clocks)
     zm = z @ model.dephasing
-    q = np.einsum("ai,ai->a", zm, z)
-    lam = q[:, None] + q[None, :] - 2.0 * (zm @ z.T)
-    return np.exp((-1j * np.subtract.outer(e, e) - lam) * t)
+    return model.basis_energies(), z, zm, np.einsum("ai,ai->a", zm, z)
 
 
-def evolve_exact(rho0: DensityMatrix, model: EvolutionModel, t: float) -> DensityMatrix:
-    """Closed-form propagation; exact because the generator is diagonal."""
+def _check_propagation(rho0: DensityMatrix, model: EvolutionModel, times) -> None:
     if model.analytic_only:
         raise ValueError("model was built for closed-form coherences only")
-    if t < 0:
+    if np.any(np.asarray(times) < 0):
         raise ValueError("time must be non-negative")
     if rho0.n_clocks != model.n_clocks:
         raise ValueError("state and model sizes differ")
-    return DensityMatrix(rho0.matrix * _phase_and_decay(model, t))
+
+
+def evolve_exact(rho0: DensityMatrix, model: EvolutionModel, t: float) -> DensityMatrix:
+    """Closed-form propagation; a state by construction, so not re-validated."""
+    _check_propagation(rho0, model, t)
+    e, z, zm, q = _generator_tables(model)
+    lam = q[:, None] + q[None, :] - 2.0 * (zm @ z.T)
+    kernel = np.exp((-1j * np.subtract.outer(e, e) - lam) * t)
+    return DensityMatrix._trusted(rho0.matrix * kernel)
 
 
 @dataclass(frozen=True)
@@ -343,51 +362,39 @@ class NumericEvolution:
     n_steps: int
 
 
-def _vectorized_generator(model: EvolutionModel) -> np.ndarray:
-    n = model.n_clocks
-    dim = 2 ** n
-    z = _z_table(n)
-    h = np.diag(model.basis_energies()).astype(complex)
-    eye = np.eye(dim, dtype=complex)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    comms = []
-    for i in range(n):
-        sz = np.diag(z[:, i]).astype(complex)
-        comms.append(np.kron(sz, eye) - np.kron(eye, sz.T))
-    m = model.dephasing
-    for j in range(n):
-        for k in range(n):
-            if m[j, k] != 0.0:
-                gen -= m[j, k] * (comms[j] @ comms[k])
-    return gen
+def _master_equation(model: EvolutionModel, x: np.ndarray) -> np.ndarray:
+    """-i[H, x] - sum_jk M_jk [sz_j, [sz_k, x]], written as commutators."""
+    z = _z_table(model.n_clocks)
 
+    def comm(d, y):  # [diag(d), y]
+        return d[:, None] * y - y * d[None, :]
 
-def _rk4_step_operator(gen: np.ndarray, dt: float) -> np.ndarray:
-    # classical RK4 on a linear autonomous system collapses to the degree-4
-    # Taylor polynomial of exp(dt * L); evaluating it as a matrix lets long
-    # runs use binary powering without changing the method
-    a = dt * gen
-    eye = np.eye(gen.shape[0], dtype=complex)
-    a2 = a @ a
-    return eye + a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
-
-
-def _matrix_power_apply(op: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    out = v
-    p = op
-    while n:
-        if n & 1:
-            out = p @ out
-        n >>= 1
-        if n:
-            p = p @ p
+    out = -1j * comm(model.basis_energies(), x)
+    for j in range(model.n_clocks):
+        # sum_k M_jk [sz_k, x] = [sum_k M_jk sz_k, x]
+        out -= comm(z[:, j], comm(z @ model.dephasing[j], x))
     return out
 
 
+def _superoperator_diagonal(model: EvolutionModel) -> np.ndarray:
+    """Generator eigenvalue on every |a><b|, read off the master equation."""
+    dim = 2 ** model.n_clocks
+    gen = _master_equation(model, np.ones((dim, dim), dtype=complex))
+    # generic probe: Weyl-sequence phases, without importing numpy.random
+    probe = np.exp(2j * np.pi * ((np.arange(dim * dim) * 0.6180339887498949) % 1.0))
+    probe = probe.reshape(dim, dim)
+    err = np.max(np.abs(_master_equation(model, probe) - gen * probe))
+    if err > 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
+        raise RuntimeError(f"master equation is not diagonal (residual {err:.2e})")
+    return gen
+
+
 def _rk4_run(gen: np.ndarray, rho0: np.ndarray, t: float, n_steps: int) -> np.ndarray:
-    op = _rk4_step_operator(gen, t / n_steps)
-    v = _matrix_power_apply(op, rho0.reshape(-1), n_steps)
-    return v.reshape(rho0.shape)
+    # classical RK4 on a linear autonomous system is the degree-4 Taylor
+    # polynomial of exp(dt * L): one scalar per element for a diagonal L
+    a = (t / n_steps) * gen
+    step = 1.0 + a + a * a / 2.0 + a ** 3 / 6.0 + a ** 4 / 24.0
+    return rho0 * step ** n_steps
 
 
 def evolve_numeric(rho0: DensityMatrix, model: EvolutionModel, t: float,
@@ -398,22 +405,17 @@ def evolve_numeric(rho0: DensityMatrix, model: EvolutionModel, t: float,
     step size at most dt, and attaches the Frobenius distance to a half-step
     rerun as a convergence estimate.
     """
-    if model.analytic_only:
-        raise ValueError("model was built for closed-form coherences only")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if t < 0:
-        raise ValueError("time must be non-negative")
     if model.n_clocks > NUMERIC_CLOCK_LIMIT:
         raise ValueError(
-            f"the vectorized integrator is limited to {NUMERIC_CLOCK_LIMIT} "
+            f"the RK4 oracle is limited to {NUMERIC_CLOCK_LIMIT} "
             "clocks; use evolve_exact for larger systems")
-    if rho0.n_clocks != model.n_clocks:
-        raise ValueError("state and model sizes differ")
+    _check_propagation(rho0, model, t)
     if t == 0.0:
         return NumericEvolution(rho=rho0, convergence_estimate=0.0, n_steps=0)
     n_steps = max(1, int(math.ceil(t / dt)))
-    gen = _vectorized_generator(model)
+    gen = _superoperator_diagonal(model)
     result = _rk4_run(gen, rho0.matrix, t, n_steps)
     halved = _rk4_run(gen, rho0.matrix, t, 2 * n_steps)
     estimate = float(np.linalg.norm(result - halved))
@@ -431,15 +433,8 @@ def evolve_numeric(rho0: DensityMatrix, model: EvolutionModel, t: float,
 
 def single_clock_coherences(rho: DensityMatrix) -> np.ndarray:
     """|<sigma_+^(i)>| for each clock i."""
-    n = rho.n_clocks
-    m = rho.matrix
-    out = np.empty(n)
-    idx = np.arange(2 ** n)
-    for i in range(n):
-        step = 1 << (n - 1 - i)
-        upper = idx[(idx >> (n - 1 - i)) & 1 == 1]
-        out[i] = abs(m[upper, upper - step].sum())
-    return out
+    upper, lower = _coherence_pairs(rho.n_clocks)
+    return np.abs(rho.matrix[upper, lower].sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -472,13 +467,23 @@ class CoherenceTrace:
 
 
 def simulate_coherence(model: EvolutionModel, initial, times) -> CoherenceTrace:
-    """Evolve an initial state exactly and record per-clock coherences."""
+    """Per-clock coherences of the exactly evolved initial state.
+
+    Each entry rho[a, b] a coherence needs evolves by its own generator
+    eigenvalue, so a sample costs O(N 2^N) and rho(t) is never formed.
+    """
     rho0 = initial if isinstance(initial, DensityMatrix) \
         else DensityMatrix.from_qubit_states(initial)
     times = np.asarray(times, dtype=float)
+    _check_propagation(rho0, model, times)
+    e, z, zm, q = _generator_tables(model)
+    upper, lower = _coherence_pairs(model.n_clocks)
+    lam = q[upper] + q[lower] - 2.0 * np.einsum("kai,kai->ka", zm[upper], z[lower])
+    rate = -1j * (e[upper] - e[lower]) - lam
+    coeff = rho0.matrix[upper, lower]
     mags = np.empty((len(times), model.n_clocks))
     for k, t in enumerate(times):
-        mags[k] = single_clock_coherences(evolve_exact(rho0, model, float(t)))
+        mags[k] = np.abs((coeff * np.exp(rate * t)).sum(axis=1))
     return CoherenceTrace(times=times, magnitudes=mags)
 
 
@@ -488,25 +493,20 @@ def product_state_coherence(model: EvolutionModel, qubit_states, times) -> Coher
     O(N) per clock and time sample, so it works for models up to the analytic
     clock limit where dense density matrices are out of reach.
     """
-    n = model.n_clocks
     states = [qubit_state(s) for s in qubit_states]
-    if len(states) != n:
+    if len(states) != model.n_clocks:
         raise ValueError("need one qubit state per clock")
     times = np.asarray(times, dtype=float)
     pops = np.array([np.real(s[0, 0]) for s in states])
-    cohs = np.array([s[1, 0] for s in states])
-    d = model.per_clock_dephasing
-    sign = model.interaction_sign
-    mags = np.empty((len(times), n))
+    cohs = np.abs([s[1, 0] for s in states])
+    mags = np.empty((len(times), model.n_clocks))
     for k, t in enumerate(times):
-        for i in range(n):
-            env = 1.0 + 0j
-            for j in range(n):
-                if j == i:
-                    continue
-                phase = np.exp(2j * sign * model.coupling[i, j] * t)
-                env *= pops[j] * phase + (1.0 - pops[j]) / phase
-            mags[k, i] = abs(cohs[i]) * math.exp(-4.0 * d[i] * t) * abs(env)
+        # env[i, j]: clock j's population-weighted phase kick on clock i
+        phase = np.exp(2j * model.interaction_sign * model.coupling * t)
+        env = pops * phase + (1.0 - pops) / phase
+        np.fill_diagonal(env, 1.0)
+        mags[k] = cohs * np.exp(-4.0 * model.per_clock_dephasing * t) \
+            * np.abs(env.prod(axis=1))
     return CoherenceTrace(times=times, magnitudes=mags)
 
 

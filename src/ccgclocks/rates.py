@@ -276,7 +276,8 @@ def _coordinate_descent(objective, x0: np.ndarray):
     Derivatives are taken by central differences, so the update never reuses
     the closed-form algebra it is meant to check. Each coordinate's section of
     the objective is strictly convex, which makes the safeguarded Newton step
-    globally convergent here.
+    globally convergent here. Returns (x, f, converged); x is the best point
+    reached even when the iteration cap stops the descent.
     """
     x = x0.copy()
     f_prev = objective(x)
@@ -315,11 +316,11 @@ def _coordinate_descent(objective, x0: np.ndarray):
                 break
         f_now = objective(x)
         if abs(f_prev - f_now) <= OBJECTIVE_TOLERANCE * max(abs(f_now), 1e-300):
-            return x, f_now
+            return x, f_now, True
         f_prev = f_now
         if updates >= ITERATION_CAP:
             break
-    return None, f_prev  # signals non-convergence; caller raises with best x
+    return x, f_prev, False
 
 
 def optimize_rates(g: PairRateMatrix, mode: str) -> tuple[MeasurementRates, DephasingReport]:
@@ -387,13 +388,14 @@ def optimize_rates(g: PairRateMatrix, mode: str) -> tuple[MeasurementRates, Deph
     else:
         raise ValueError(f"unknown optimization mode {mode!r}")
 
-    x, f = _coordinate_descent(objective, x0)
-    if x is None:
-        raise OptimizeError(
-            f"optimizer did not converge within {ITERATION_CAP} coordinate updates")
+    x, _, converged = _coordinate_descent(objective, x0)
     rates = make_rates(x)
     achieved = dephasing_given_rates(g, rates)
     report = DephasingReport(achieved.per_clock, achieved.mode, case,
                              convention=g.convention, formula_id=formula,
                              optimal_rates=rates)
+    if not converged:
+        raise OptimizeError(
+            f"optimizer did not converge within {ITERATION_CAP} coordinate updates",
+            best_rates=rates, best_report=report)
     return rates, report

@@ -133,12 +133,14 @@ class RedshiftDephasing:
             "convention": self.convention.value,
         }
         if self.position_diffusion is not None:
+            # strict JSON has no infinity; Gamma_z = 0 diffusion is "inf"
             out["position_diffusion_hz_per_m2"] = [
-                float(x) for x in self.position_diffusion]
+                float(x) if math.isfinite(x) else "inf"
+                for x in self.position_diffusion]
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
 def redshift_coupling(mass: float, distance: float, omega) -> float:

@@ -25,6 +25,7 @@ from .lindblad import (
     DensityMatrix,
     coherence_decay_rate,
     dimensionless_model,
+    evolve_exact,
     simulate_coherence,
 )
 from .rates import (
@@ -430,16 +431,11 @@ def _run_simulate(params, convention, stem, fmt):
     if fmt in ("json", "both"):
         out[f"{stem}.json"] = _json_bytes(summary)
     if params.get("export_density_matrix", False):
-        final = simulate_final_state(model, rho0, float(times[-1]))
+        final = evolve_exact(rho0, model, float(times[-1]))
         out[f"{stem}_rho.json"] = _json_bytes(
             {"meta": _meta(convention), "time": float(times[-1]),
              "rho": final.to_json_dict()})
     return out
-
-
-def simulate_final_state(model, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    from .lindblad import evolve_exact
-    return evolve_exact(rho0, model, t)
 
 
 def _run_redshift(params, convention, stem, fmt):
@@ -459,11 +455,6 @@ def _run_redshift(params, convention, stem, fmt):
         result = composite_dephasing(comp, body["clock_position"], omega, gz,
                                      convention=convention)
     payload = {"meta": _meta(convention), "dephasing": result.to_json_dict()}
-    if result.position_diffusion is not None and np.any(
-            ~np.isfinite(result.position_diffusion)):
-        payload["dephasing"]["position_diffusion_hz_per_m2"] = [
-            "inf" if not np.isfinite(x) else float(x)
-            for x in result.position_diffusion]
     return {f"{stem}.json": _json_bytes(payload)}
 
 

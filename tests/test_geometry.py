@@ -124,6 +124,13 @@ class TestPairRateMatrix:
             ClockArray([1e15, 1e15, 1e15],
                        [[0, 0, 0], [1e-6, 0, 0], [1e-6, 0, 0]])
 
+    def test_coincidence_checked_above_2048_clocks(self):
+        pos = np.zeros((2100, 3))
+        pos[:, 0] = np.arange(2100) * 1e-6
+        pos[6] = pos[5]
+        with pytest.raises(ValueError, match=r"clocks 5 and 6 are coincident"):
+            ClockArray(np.full(2100, 1e15), pos)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PairRateMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric

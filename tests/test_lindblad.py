@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccgclocks.geometry import ClockArray, build_lattice
 from ccgclocks.lindblad import (
@@ -32,6 +33,25 @@ def random_density(rng, n):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
     return DensityMatrix(m / np.trace(m))
+
+
+KINDS = ("unitary", "ccg-pairwise", "ccg-global")
+
+
+def random_model(rng, n, kind):
+    g = rng.uniform(0.1, 1.0, size=(n, n))
+    g = 0.5 * (g + g.T)
+    np.fill_diagonal(g, 0.0)
+    if kind == "unitary":
+        rates = None
+    elif kind == "ccg-pairwise":
+        gam = rng.uniform(0.3, 1.5, size=(n, n))
+        np.fill_diagonal(gam, 0.0)
+        rates = MeasurementRates("pairwise", pairwise_gamma=gam)
+    else:
+        rates = MeasurementRates("global", global_gamma=rng.uniform(0.3, 1.5, size=n))
+    return dimensionless_model(g, kind=kind, rates=rates,
+                               omegas=rng.uniform(0.0, 1.0, size=n))
 
 
 class TestDensityMatrix:
@@ -102,6 +122,16 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="at most 20"):
             build_model(arr21, analytic_only=True)
 
+    def test_dephasing_must_be_symmetric_psd(self):
+        common = dict(kind="ccg-global", omegas=np.zeros(2), coupling=np.array(G2))
+        with pytest.raises(ValueError, match="symmetric"):
+            EvolutionModel(dephasing=np.array([[1.0, 0.2], [0.3, 1.0]]), **common)
+        # non-negative diagonal, but eigenvalues 3 and -1
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            EvolutionModel(dephasing=np.array([[1.0, 2.0], [2.0, 1.0]]), **common)
+        # a rank-one (singular) M is allowed
+        EvolutionModel(dephasing=np.ones((2, 2)), **common)
+
     def test_unitary_kind_must_have_zero_dephasing(self):
         with pytest.raises(ValueError):
             EvolutionModel(kind="unitary", omegas=np.zeros(2),
@@ -146,6 +176,14 @@ class TestEvolveExact:
         one = evolve_exact(rho, model, 1.7)
         two = evolve_exact(evolve_exact(rho, model, 0.9), model, 0.8)
         assert np.allclose(one.matrix, two.matrix, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from(KINDS),
+           st.floats(0.0, 50.0), st.integers(0, 2**31 - 1))
+    def test_evolved_state_passes_public_validator(self, n, kind, t, seed):
+        rng = np.random.default_rng(seed)
+        out = evolve_exact(random_density(rng, n), random_model(rng, n, kind), t)
+        DensityMatrix(out.matrix)  # raises if not a state
 
     def test_populations_invariant(self):
         rng = np.random.default_rng(5)
@@ -200,14 +238,15 @@ class TestEvolveNumeric:
             evolve_numeric(rho, model, 5.0, dt=0.5)
 
     def test_size_cap(self):
-        g = np.zeros((7, 7))
+        g = np.zeros((11, 11))
         g[0, 1] = g[1, 0] = 1.0
         g += 0.01
         np.fill_diagonal(g, 0.0)
         g = 0.5 * (g + g.T)
         model = dimensionless_model(g, kind="ccg-pairwise")
-        rho = DensityMatrix.from_qubit_states(["plus"] * 7)
-        with pytest.raises(ValueError, match="limited to 6"):
+        # the cap is checked before the state, so a small state suffices
+        rho = DensityMatrix.all_plus(2)
+        with pytest.raises(ValueError, match="limited to 10"):
             evolve_numeric(rho, model, 1.0, dt=1e-2)
 
     def test_dt_validation(self):
@@ -216,6 +255,28 @@ class TestEvolveNumeric:
 
 
 class TestCoherence:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_coherence_kernel_matches_evolved_state(self, kind):
+        rng = np.random.default_rng(23)
+        times = np.concatenate(([0.0], rng.uniform(0.0, 4.0, size=6)))
+        for n in range(1, 7):
+            model = random_model(rng, n, kind)
+            rho0 = random_density(rng, n)
+            trace = simulate_coherence(model, rho0, times)
+            dense = [single_clock_coherences(
+                DensityMatrix(evolve_exact(rho0, model, t).matrix)) for t in times]
+            assert np.allclose(trace.magnitudes, dense, rtol=0, atol=1e-14)
+
+    def test_simulate_keeps_propagation_checks(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate_coherence(ccg2(), ["plus", "zero"], [0.0, -1.0])
+        with pytest.raises(ValueError, match="sizes differ"):
+            simulate_coherence(ccg2(), ["plus"] * 3, [0.0, 1.0])
+        arr = build_lattice(1, 1e-6, [2], 1e15)
+        model = build_model(arr, analytic_only=True).nondimensionalized()
+        with pytest.raises(ValueError, match="closed-form"):
+            simulate_coherence(model, ["plus", "zero"], [0.0, 1.0])
+
     def test_single_clock_coherence_of_plus(self):
         rho = DensityMatrix.from_qubit_states(["plus", "zero", "one"])
         c = single_clock_coherences(rho)

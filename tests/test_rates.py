@@ -6,9 +6,11 @@ from scipy.optimize import minimize_scalar
 
 from ccgclocks.constants import CONSTANTS
 from ccgclocks.geometry import ClockArray, PairRateMatrix, build_lattice, pair_rate_matrix
+from ccgclocks import rates as rates_module
 from ccgclocks.rates import (
     DephasingReport,
     MeasurementRates,
+    OptimizeError,
     dephasing_given_rates,
     min_dephasing_global_A,
     min_dephasing_global_B,
@@ -191,6 +193,18 @@ class TestClosedForms:
 
 
 class TestOptimizer:
+    def test_iteration_cap_error_carries_best_point(self, monkeypatch):
+        monkeypatch.setattr(rates_module, "ITERATION_CAP", 1)
+        g = pair_rate_matrix(build_lattice(1, 1e-6, [4], 1e15))
+        with pytest.raises(OptimizeError) as info:
+            optimize_rates(g, "global")
+        best, report = info.value.best_rates, info.value.best_report
+        assert isinstance(best, MeasurementRates) and best.mode == "global"
+        assert isinstance(report, DephasingReport)
+        assert report.optimal_rates is best
+        assert report.per_clock == pytest.approx(
+            dephasing_given_rates(g, best).per_clock, rel=1e-15)
+
     def test_two_clock_recovers_half_g(self):
         g = two_clock_matrix(3.0)
         rates, rep = optimize_rates(g, "pairwise")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -224,6 +225,14 @@ class TestBounds:
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             bound_parameters(0.0, EARTH_MASS, EARTH_RADIUS, W15)
+
+
+def test_infinite_diffusion_is_strict_json():
+    out = simple_particle_dephasing(1.0, 1.0, 1e15, 1.0, 0.0)
+    text = out.to_json()
+    assert "Infinity" not in text
+    data = json.loads(text, parse_constant=lambda c: pytest.fail(c))
+    assert data["position_diffusion_hz_per_m2"] == ["inf"]
 
 
 def test_redshift_report_serialization():
