@@ -66,6 +66,8 @@ def qubit_state(state) -> np.ndarray:
         norm = np.linalg.norm(arr)
         if norm == 0:
             raise ValueError("qubit ket must be non-zero")
+        if not np.isfinite(norm):
+            raise ValueError("qubit ket must have a finite norm")
         ket = arr / norm
         return np.outer(ket, ket.conj())
     if arr.shape == (2, 2):
@@ -88,6 +90,8 @@ class DensityMatrix:
         n = int(round(math.log2(dim)))
         if 2 ** n != dim:
             raise ValueError(f"dimension {dim} is not a power of two")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m - m.conj().T)) > self.HERMITICITY_TOL * scale:
             raise ValueError("density matrix is not Hermitian")
@@ -119,10 +123,22 @@ class DensityMatrix:
 
     @classmethod
     def from_qubit_states(cls, states) -> "DensityMatrix":
+        """Product state of qubit names, kets or 2x2 matrices.
+
+        A product of normalized finite kets is Hermitian and PSD by
+        construction, so only its trace is checked; a list with an explicit
+        2x2 matrix pays the full validation.
+        """
         rho = np.array([[1.0 + 0j]])
+        certified = True
         for s in states:
             rho = np.kron(rho, qubit_state(s))
-        return cls(rho)
+            certified = certified and np.ndim(s) < 2
+        if not certified:
+            return cls(rho)
+        if abs(rho.trace() - 1.0) > cls.TRACE_TOL:
+            raise ValueError(f"trace must be 1, got {rho.trace()}")
+        return cls._trusted(rho)
 
     @classmethod
     def all_plus(cls, n_clocks: int) -> "DensityMatrix":
@@ -139,8 +155,8 @@ class DensityMatrix:
             raise ValueError("JSON export is limited to 4 clocks")
         return {
             "n_clocks": self.n_clocks,
-            "real": [[float(x) for x in row] for row in self._m.real],
-            "imag": [[float(x) for x in row] for row in self._m.imag],
+            "real": self._m.real.tolist(),
+            "imag": self._m.imag.tolist(),
         }
 
     def to_json(self) -> str:

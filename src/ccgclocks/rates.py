@@ -57,26 +57,27 @@ class MeasurementRates:
             if gam.ndim != 2 or gam.shape[0] != gam.shape[1]:
                 raise ValueError("pairwise_gamma must be a square matrix")
             n = gam.shape[0]
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        if gam[i, j] != 0:
-                            raise ValueError("pairwise_gamma diagonal must be zero")
-                    elif not (np.isfinite(gam[i, j]) and gam[i, j] > 0):
-                        raise ValueError(
-                            f"pairwise_gamma[{i}][{j}] must be finite and positive "
-                            "(zero and infinity are limits, not parameters)")
+            diag = np.eye(n, dtype=bool)
+            bad = np.where(diag, gam != 0, ~(np.isfinite(gam) & (gam > 0)))
+            if bad.any():
+                # the first offender in row-major order decides the message
+                i, j = divmod(int(np.argmax(bad)), n)
+                if i == j:
+                    raise ValueError("pairwise_gamma diagonal must be zero")
+                raise ValueError(
+                    f"pairwise_gamma[{i}][{j}] must be finite and positive "
+                    "(zero and infinity are limits, not parameters)")
             gam.setflags(write=False)
             object.__setattr__(self, "pairwise_gamma", gam)
         else:
             if self.global_gamma is None or self.pairwise_gamma is not None:
                 raise ValueError("global mode needs global_gamma only")
             gam = np.asarray(self.global_gamma, dtype=float).reshape(-1)
-            for i, value in enumerate(gam):
-                if not (np.isfinite(value) and value > 0):
-                    raise ValueError(
-                        f"global_gamma[{i}] must be finite and positive "
-                        "(zero and infinity are limits, not parameters)")
+            bad = ~(np.isfinite(gam) & (gam > 0))
+            if bad.any():
+                raise ValueError(
+                    f"global_gamma[{int(np.argmax(bad))}] must be finite and positive "
+                    "(zero and infinity are limits, not parameters)")
             gam.setflags(write=False)
             object.__setattr__(self, "global_gamma", gam)
 
@@ -87,9 +88,8 @@ class MeasurementRates:
 
     def to_json_dict(self) -> dict:
         if self.mode == "pairwise":
-            return {"mode": "pairwise",
-                    "pairwise_gamma": [[float(x) for x in row] for row in self.pairwise_gamma]}
-        return {"mode": "global", "global_gamma": [float(x) for x in self.global_gamma]}
+            return {"mode": "pairwise", "pairwise_gamma": self.pairwise_gamma.tolist()}
+        return {"mode": "global", "global_gamma": self.global_gamma.tolist()}
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class DephasingReport:
 
     def to_json_dict(self) -> dict:
         out = {
-            "per_clock_hz": [float(x) for x in self.per_clock],
+            "per_clock_hz": self.per_clock.tolist(),
             "mode": self.mode,
             "case": self.case,
             "convention": self.convention.value,

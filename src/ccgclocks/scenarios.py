@@ -222,13 +222,40 @@ SCENARIO_SCHEMA = {
 }
 
 
+_NUMBER = {"type": "number"}
+_PLAIN_NUMBERS = {int, float}
+_draft_items = jsonschema.Draft202012Validator.VALIDATORS["items"]
+
+
+def _items(validator, items, instance, schema):
+    """Draft 2020-12 `items`, with one pass for a flat list of numbers.
+
+    A list whose entries are all plain int or float has no error under
+    {"type": "number"}; every other list goes through jsonschema's own
+    keyword, so the errors are the same.
+    """
+    if (items == _NUMBER and type(instance) is list and "prefixItems" not in schema
+            and set(map(type, instance)) <= _PLAIN_NUMBERS):
+        return
+    yield from _draft_items(validator, items, instance, schema)
+
+
+_Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator,
+                                          {"items": _items})
+# built once: the schemas are checked against the meta-schema by the tests
+_SCENARIO_VALIDATOR = _Validator(SCENARIO_SCHEMA)
+_PARAMETER_VALIDATORS = {kind: _Validator(schema)
+                         for kind, schema in _PARAMETER_SCHEMAS.items()}
+
+
 def validate_scenario(config: dict) -> None:
     """Validate a scenario config; raises jsonschema.ValidationError."""
-    jsonschema.validate(config, SCENARIO_SCHEMA)
+    error = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise error
     kind = config["kind"]
     params = config.get("parameters", {})
-    validator = jsonschema.Draft202012Validator(_PARAMETER_SCHEMAS[kind])
-    for error in sorted(validator.iter_errors(params), key=str):
+    for error in sorted(_PARAMETER_VALIDATORS[kind].iter_errors(params), key=str):
         error.path.appendleft("parameters")
         raise error
     if kind == "rates":
@@ -281,8 +308,49 @@ def _csv_bytes(rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = {int, float, str, bool, type(None)}
+
+
+def _json_pieces(value, newline: str):
+    """Pieces of json.dumps(value, sort_keys=True) indented by two spaces.
+
+    `newline` is "\n" plus the current indentation. The standard library
+    writes indented JSON with its pure-Python encoder; here each flat list of
+    plain scalars goes to the C encoder in one call instead, with the newline
+    and indentation folded into its item separator.
+    """
+    if not isinstance(value, _CONTAINERS):
+        yield json.dumps(value)
+        return
+    if not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        # non-str keys are written as the standard library writes them
+        entries = ((json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
+                   for k, v in sorted(value.items()))
+        brackets = "{}"
+    elif set(map(type, value)) <= _SCALARS:
+        body = json.dumps(value, separators=("," + inner, ": "))
+        yield "[" + inner + body[1:-1] + newline + "]"
+        return
+    else:
+        entries = (("", v) for v in value)
+        brackets = "[]"
+    yield brackets[0]
+    separator = inner
+    for prefix, item in entries:
+        yield separator + prefix
+        yield from _json_pieces(item, inner)
+        separator = "," + inner
+    yield newline + brackets[1]
+
+
 def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """Artifact bytes: sorted keys, two-space indentation, floats by repr."""
+    return ("".join(_json_pieces(payload, "\n")) + "\n").encode("utf-8")
 
 
 def _meta(convention: FrequencyConvention | None) -> dict:
@@ -413,7 +481,7 @@ def _run_simulate(params, convention, stem, fmt):
         "meta": _meta(convention),
         "kind": params["kind"],
         "n_clocks": model.n_clocks,
-        "per_clock_dephasing": [float(x) for x in model.per_clock_dephasing],
+        "per_clock_dephasing": model.per_clock_dephasing.tolist(),
         "time_unit_s": model.time_unit,
     }
     if params.get("fit_decay", True):

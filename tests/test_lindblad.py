@@ -76,6 +76,31 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="power of two"):
             DensityMatrix(np.eye(3, dtype=complex) / 3)
 
+    def test_product_of_names_and_kets_passes_the_public_check(self):
+        ket = np.array([0.6, 0.8j])
+        rho = DensityMatrix.from_qubit_states(["plus", ket, "plus-i", [1.0, -2.0]])
+        again = DensityMatrix(rho.matrix)
+        assert np.array_equal(again.matrix, rho.matrix)
+        assert not rho.matrix.flags.writeable
+
+    def test_explicit_matrix_keeps_the_full_check(self):
+        with pytest.raises(ValueError, match="positive"):
+            DensityMatrix.from_qubit_states(["plus", np.diag([1.5, -0.5])])
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix.from_qubit_states([[[0.5, 1.0], [0.0, 0.5]]])
+
+    def test_non_finite_inputs_rejected(self):
+        for ket in ([math.nan, 1.0], [math.inf, 0.0], [1e200, 0.0]):
+            with pytest.raises(ValueError, match="finite norm"):
+                DensityMatrix.from_qubit_states(["plus", ket])
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.diag([math.nan, 1.0]).astype(complex))
+
+    def test_ket_with_an_inaccurate_norm_fails_the_trace_check(self):
+        # the squared entries are subnormal, so the norm loses digits
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix.from_qubit_states([[1e-160, 1e-160]])
+
     def test_json_export_limited_to_four_clocks(self):
         rho = DensityMatrix.from_qubit_states(["plus"] * 5)
         with pytest.raises(ValueError):

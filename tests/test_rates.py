@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from ccgclocks.constants import CONSTANTS
@@ -41,7 +43,44 @@ def random_geometry_matrix(n, seed):
             return pair_rate_matrix(ClockArray(np.full(n, 1e15), pos))
 
 
+def loop_pairwise_error(gam):
+    """The element-by-element validation, as the reference for the mask."""
+    n = len(gam)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                if gam[i][j] != 0:
+                    return "pairwise_gamma diagonal must be zero"
+            elif not (math.isfinite(gam[i][j]) and gam[i][j] > 0):
+                return f"pairwise_gamma[{i}][{j}] must be finite and positive"
+    return None
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, -1.0, 2.5, 1e-300, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def corrupted_pairwise(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    gam = [[0.0 if i == j else 1.0 for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        gam[i][j] = draw(_ENTRIES)
+    return gam
+
+
 class TestMeasurementRates:
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_pairwise())
+    def test_pairwise_errors_match_the_loop(self, gam):
+        expected = loop_pairwise_error(gam)
+        if expected is None:
+            MeasurementRates("pairwise", pairwise_gamma=np.array(gam))
+        else:
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                MeasurementRates("pairwise", pairwise_gamma=np.array(gam))
+
     def test_pairwise_rejects_nonpositive_entry_by_name(self):
         gam = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match=r"pairwise_gamma\[1\]\[0\]"):
@@ -50,6 +89,36 @@ class TestMeasurementRates:
     def test_global_rejects_nonpositive_entry_by_name(self):
         with pytest.raises(ValueError, match=r"global_gamma\[1\]"):
             MeasurementRates("global", global_gamma=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("gam, message", [
+        # an off-diagonal offender before a later non-zero diagonal entry
+        ([[0.0, -1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 3.0]], r"pairwise_gamma\[0\]\[1\]"),
+        # a non-zero diagonal entry before a later off-diagonal offender
+        ([[0.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 1.0, 0.0]], "diagonal must be zero"),
+        ([[math.nan, 1.0], [1.0, 0.0]], "diagonal must be zero"),
+        ([[0.0, 1.0], [1.0, math.nan]], "diagonal must be zero"),
+        ([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], r"pairwise_gamma\[1\]\[2\]"),
+        ([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [-2.0, 1.0, 0.0]], r"pairwise_gamma\[2\]\[0\]"),
+        ([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, math.inf, 0.0]], r"pairwise_gamma\[2\]\[1\]"),
+        ([[0.0, math.nan], [-math.inf, 0.0]], r"pairwise_gamma\[0\]\[1\]"),
+    ])
+    def test_pairwise_first_offender_in_row_major_order(self, gam, message):
+        with pytest.raises(ValueError, match=message):
+            MeasurementRates("pairwise", pairwise_gamma=np.array(gam))
+
+    @pytest.mark.parametrize("gam, index", [
+        ([1.0, 2.0, 0.0, -1.0], 2), ([math.inf, 1.0], 0), ([1.0, 1.0, math.nan], 2),
+        ([1.0, -1e-300, math.inf], 1),
+    ])
+    def test_global_first_offender_by_index(self, gam, index):
+        with pytest.raises(ValueError, match=rf"global_gamma\[{index}\] must be finite"):
+            MeasurementRates("global", global_gamma=np.array(gam))
+
+    def test_valid_rates_serialize_as_plain_floats(self):
+        gam = np.array([[0.0, 0.1], [2.5, 0.0]])
+        d = MeasurementRates("pairwise", pairwise_gamma=gam).to_json_dict()
+        assert d["pairwise_gamma"] == [[0.0, 0.1], [2.5, 0.0]]
+        assert all(type(x) is float for row in d["pairwise_gamma"] for x in row)
 
     def test_asymmetric_pairwise_allowed(self):
         gam = np.array([[0.0, 1.0], [2.0, 0.0]])
