@@ -60,6 +60,13 @@ class PhysicalConstants:
 
 CONSTANTS = PhysicalConstants(G=6.67430e-11, hbar=1.054571817e-34, c=2.99792458e8)
 
+G_HBAR_OVER_C4 = CONSTANTS.G * CONSTANTS.hbar / CONSTANTS.c**4  # m s; g12 = this * w1 w2 / d
+
+
+def dephasing_prefactor(omega) -> float:
+    """G hbar w^2 / (2 c^4), m/s, the factor before a clock's distance sum."""
+    return CONSTANTS.G * CONSTANTS.hbar * float(omega) ** 2 / (2.0 * CONSTANTS.c ** 4)
+
 
 def _check_scalar(value: float, name: str, nonnegative: bool = True) -> float:
     value = float(value)
@@ -71,42 +78,34 @@ def _check_scalar(value: float, name: str, nonnegative: bool = True) -> float:
 
 
 @dataclass(frozen=True)
-class AngularFrequency:
+class _CheckedScalar:
+    """A finite, non-negative float; each subclass names it in `_what`."""
+
+    value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _check_scalar(self.value, self._what))
+
+    def __float__(self) -> float:
+        return self.value
+
+
+class AngularFrequency(_CheckedScalar):
     """Angular transition frequency, rad/s."""
 
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _check_scalar(self.value, "angular frequency"))
-
-    def __float__(self) -> float:
-        return self.value
+    _what = "angular frequency"
 
 
-@dataclass(frozen=True)
-class Rate:
+class Rate(_CheckedScalar):
     """A dephasing or measurement rate, s^-1."""
 
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _check_scalar(self.value, "rate"))
-
-    def __float__(self) -> float:
-        return self.value
+    _what = "rate"
 
 
-@dataclass(frozen=True)
-class PositionMeasurementRate:
+class PositionMeasurementRate(_CheckedScalar):
     """Strength of a continuous position measurement, Hz m^-2."""
 
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _check_scalar(self.value, "position measurement rate"))
-
-    def __float__(self) -> float:
-        return self.value
+    _what = "position measurement rate"
 
 
 def apply_convention(quoted_frequency: float,

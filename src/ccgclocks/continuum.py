@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import dephasing_prefactor
 from .geometry import ClockArray
 
 SOLID_ANGLE = {1: 1.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -32,22 +33,24 @@ DEFAULT_SIDES = {
 
 
 def kahan_sum(values) -> float:
-    """Neumaier-compensated sum; order-independent to near machine precision."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        v = float(v)
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
+    """Correctly rounded sum, hence independent of the order of `values`."""
+    return math.fsum(values)
+
+
+def _exact_sum(terms: np.ndarray, what: str) -> float:
+    """math.fsum (Shewchuk's exact summation, rounded once) of `terms`;
+    raises ValueError naming `what` when the sum is not finite."""
+    try:
+        total = math.fsum(terms.tolist())
+    except OverflowError:  # finite terms whose exact sum overflows
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"{what} is not finite")
+    return total
 
 
 def lattice_sum_exact(array: ClockArray, center_index: int, alpha: float) -> float:
-    """sum_{j != i} d_ij^(-alpha) for clock i, compensated summation."""
+    """sum_{j != i} d_ij^(-alpha) for clock i, correctly rounded."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     n = len(array)
@@ -56,7 +59,7 @@ def lattice_sum_exact(array: ClockArray, center_index: int, alpha: float) -> flo
     pos = array.positions
     d = np.linalg.norm(pos - pos[center_index], axis=1)
     d = np.delete(d, center_index)
-    return kahan_sum((d ** (-alpha)).tolist())
+    return _exact_sum(d ** (-alpha), f"distance sum for clock {center_index}")
 
 
 @dataclass(frozen=True)
@@ -210,20 +213,23 @@ class SweepPoint:
 
 
 def _center_sum_fast(D: int, side: int, alpha: float, L_c: float) -> float:
-    """Distance sum from the center of an odd-sided grid without building a
-    ClockArray (the sweep sizes make per-site objects pointless)."""
+    """Distance sum from the center of an odd-sided grid, without a ClockArray.
+
+    Only the orthant {0..half}^D is summed, a site with m nonzero coordinates
+    weighted by 2^m: its mirror images have bit-identical squared distances,
+    the weight multiplies exactly and fsum rounds the exact total once, so
+    the result equals fsum over the full grid.
+    """
     half = (side - 1) // 2
-    ax = np.arange(-half, half + 1, dtype=float) * L_c
-    if D == 1:
-        d2 = ax ** 2
-    elif D == 2:
-        d2 = (ax ** 2)[:, None] + (ax ** 2)[None, :]
-    else:
-        d2 = ((ax ** 2)[:, None, None] + (ax ** 2)[None, :, None]
-              + (ax ** 2)[None, None, :])
-    d2 = d2.ravel()
-    d2 = d2[d2 > 0]
-    return kahan_sum((d2 ** (-alpha / 2.0)).tolist())
+    sq = (np.arange(half + 1, dtype=float) * L_c) ** 2
+    mirrors = np.r_[1.0, np.full(half, 2.0)]
+    d2, weight = sq, mirrors
+    for _ in range(D - 1):
+        d2, weight = np.add.outer(d2, sq), np.multiply.outer(weight, mirrors)
+    d2, weight = d2.ravel()[1:], weight.ravel()[1:]  # drop the origin
+    if not np.all((d2 > 0) & (d2 < np.inf)):
+        raise ValueError(f"squared site distances underflow or overflow at L_c={L_c!r}")
+    return _exact_sum(weight * d2 ** (-alpha / 2.0), f"distance sum at L_c={L_c!r}")
 
 
 def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,
@@ -234,8 +240,6 @@ def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,
     the alpha=1 sum, (global, A-free) and both B-fixed cases use alpha=2.
     Sides must be odd so a true center clock exists.
     """
-    from .constants import CONSTANTS  # local import to keep module load light
-
     if mode not in ("pairwise", "global") or case not in ("A-free", "B-fixed"):
         raise ValueError(f"unsupported mode/case combination ({mode}, {case})")
     if sides is None:
@@ -244,20 +248,18 @@ def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,
     if any(s < 3 or s % 2 == 0 for s in sides):
         raise ValueError("sweep sides must be odd and at least 3")
     alpha = 1.0 if (mode, case) == ("pairwise", "A-free") else 2.0
-    prefactor = CONSTANTS.G * CONSTANTS.hbar * float(omega) ** 2 / (2.0 * CONSTANTS.c ** 4)
+    prefactor = dephasing_prefactor(omega)
 
     points = []
     for side in sides:
         n = side ** D
         s = _center_sum_fast(D, side, alpha, L_c)
         est = continuum_sum(n, D, L_c, alpha).value
-        if (mode, case) == ("pairwise", "A-free"):
+        if alpha == 1.0:  # pairwise, A-free
             rate = prefactor * s
-        elif (mode, case) == ("global", "A-free"):
-            rate = prefactor * math.sqrt(s)
-        elif (mode, case) == ("pairwise", "B-fixed"):
+        elif mode == "pairwise":  # B-fixed
             rate = prefactor * math.sqrt((n - 1) * s)
-        else:  # global, B-fixed
+        else:
             rate = prefactor * math.sqrt(s)
         points.append(SweepPoint(N=n, exact_sum=s, continuum_estimate=est,
                                  ratio=s / est, rate=rate))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import (
-    CONSTANTS,
     DEFAULT_CONVENTION,
+    G_HBAR_OVER_C4,
     AngularFrequency,
     FrequencyConvention,
     Rate,
@@ -270,8 +270,7 @@ def pair_interaction_rate(clock1: ClockSpec, clock2: ClockSpec) -> Rate:
     d = float(np.linalg.norm(np.subtract(clock1.position, clock2.position)))
     if d == 0.0:
         raise ValueError("coincident clocks have a singular interaction rate")
-    k = CONSTANTS.G * CONSTANTS.hbar / CONSTANTS.c**4
-    return Rate(k * float(clock1.omega) * float(clock2.omega) / d)
+    return Rate(G_HBAR_OVER_C4 * float(clock1.omega) * float(clock2.omega) / d)
 
 
 def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
@@ -288,9 +287,8 @@ def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
     if np.any(d[off_diag] == 0.0):
         i, j = np.argwhere((d == 0.0) & off_diag)[0]
         raise ValueError(f"clocks {i} and {j} are coincident")
-    k = CONSTANTS.G * CONSTANTS.hbar / CONSTANTS.c**4
     with np.errstate(divide="ignore"):
-        g = k * np.outer(array.omegas, array.omegas) / d
+        g = G_HBAR_OVER_C4 * np.outer(array.omegas, array.omegas) / d
     g[~off_diag] = 0.0
     g = 0.5 * (g + g.T)  # exact symmetry despite float noise in d
     return PairRateMatrix(g, convention=array.convention)

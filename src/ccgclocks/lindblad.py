@@ -361,12 +361,20 @@ def _check_propagation(rho0: DensityMatrix, model: EvolutionModel, times) -> Non
 
 
 def evolve_exact(rho0: DensityMatrix, model: EvolutionModel, t: float) -> DensityMatrix:
-    """Closed-form propagation; a state by construction, so not re-validated."""
+    """Closed-form propagation; a state by construction, so not re-validated.
+    The kernel is built in the output buffer: no step allocates its own 4^N."""
     _check_propagation(rho0, model, t)
     e, z, zm, q = _generator_tables(model)
-    lam = q[:, None] + q[None, :] - 2.0 * (zm @ z.T)
-    kernel = np.exp((-1j * np.subtract.outer(e, e) - lam) * t)
-    return DensityMatrix._trusted(rho0.matrix * kernel)
+    lam = zm @ z.T
+    lam *= 2.0
+    np.subtract(np.add.outer(q, q), lam, out=lam)
+    out = np.subtract.outer(e, e, out=np.empty(lam.shape, dtype=complex))
+    np.multiply(-1j, out, out=out)
+    np.subtract(out, lam, out=out)
+    np.multiply(out, t, out=out)
+    np.exp(out, out=out)
+    np.multiply(rho0.matrix, out, out=out)
+    return DensityMatrix._trusted(out)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .constants import (
     PositionMeasurementRate,
     Rate,
 )
-from .continuum import kahan_sum
+from .continuum import _exact_sum
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def composite_dephasing(body: CompositeBody, clock_position, omega, gamma_z, *,
     """Clock dephasing from a composite body.
 
     Shell shapes use the exact volume integral. Explicit atom lists are summed
-    with compensated summation; the clock must stay outside every atom's
+    with correctly rounded summation; the clock must stay outside every atom's
     exclusion radius L_c / 2, mirroring the lower cutoff that keeps the d^-4
     sum convergent. gamma_atoms overrides the internal measurement rate (used
     e.g. to realize a one-atom body with a prescribed rate).
@@ -209,7 +209,7 @@ def composite_dephasing(body: CompositeBody, clock_position, omega, gamma_z, *,
             f"clock lies inside the exclusion radius of atom {k} "
             f"(distance {d[k]:.3e} m < {exclusion:.3e} m)")
     couplings = CONSTANTS.G * body.atom_mass * w / (CONSTANTS.c ** 2 * d ** 2)
-    feedback = kahan_sum((couplings ** 2 / (8.0 * gamma)).tolist())
+    feedback = _exact_sum(couplings ** 2 / (8.0 * gamma), "redshift feedback sum")
     if gz > 0:
         diffusion = gamma / 2.0 + couplings ** 2 / (8.0 * gz)
     else:

@@ -10,9 +10,9 @@ reproduced (within x10), order-compatible (within x100) or discrepant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .constants import CONSTANTS, FrequencyConvention, apply_convention
+from .constants import FrequencyConvention, apply_convention, dephasing_prefactor
 from .continuum import SOLID_ANGLE, continuum_sum
 from .geometry import ClockSpec
 from .geometry import pair_interaction_rate as _pair_rate
@@ -69,30 +69,8 @@ class PaperReport:
         raise KeyError(claim_id)
 
     def to_json_dict(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "claim_id": e.claim_id,
-                    "description": e.description,
-                    "reference_value": e.reference_value,
-                    "unit": e.unit,
-                    "status": e.status,
-                    "rows": [
-                        {
-                            "convention": r.convention,
-                            "mode": r.mode,
-                            "dimension": r.dimension,
-                            "formula_id": r.formula_id,
-                            "value": r.value,
-                            "fold_difference": r.fold_difference,
-                            "closest": r.closest,
-                        }
-                        for r in e.rows
-                    ],
-                }
-                for e in self.entries
-            ]
-        }
+        return {"entries": [dict(asdict(e), rows=[asdict(r) for r in e.rows])
+                            for e in self.entries]}
 
     def csv_rows(self) -> list[list]:
         rows = [["claim_id", "description", "reference_value", "unit",
@@ -137,10 +115,6 @@ def _finish(claim_id, description, reference, unit, raw_rows) -> ClaimResult:
                        status=_grade(folds[best]), rows=rows)
 
 
-def _prefactor(omega: float) -> float:
-    return CONSTANTS.G * CONSTANTS.hbar * omega ** 2 / (2.0 * CONSTANTS.c ** 4)
-
-
 def array_minimum_rate(n_clocks: float, dimension: int, lattice_constant: float,
                        omega: float, mode: str) -> float:
     """Continuum estimate of the center-clock minimum dephasing rate.
@@ -152,10 +126,10 @@ def array_minimum_rate(n_clocks: float, dimension: int, lattice_constant: float,
     n = int(n_clocks) if n_clocks == int(n_clocks) else n_clocks
     if mode == "pairwise":
         s = continuum_sum(n, dimension, lattice_constant, 1.0).value
-        return _prefactor(omega) * s
+        return dephasing_prefactor(omega) * s
     if mode == "global":
         s = continuum_sum(n, dimension, lattice_constant, 2.0).value
-        return _prefactor(omega) * math.sqrt(s)
+        return dephasing_prefactor(omega) * math.sqrt(s)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -166,7 +140,7 @@ def atoms_for_target_rate(target_rate: float, dimension: int,
     minimum reaches the target rate."""
     if not target_rate > 0:
         raise ValueError("target rate must be positive")
-    k = _prefactor(omega)
+    k = dephasing_prefactor(omega)
     s_d = SOLID_ANGLE[dimension]
     lc = lattice_constant
     if dimension != 3:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -227,16 +228,30 @@ _PLAIN_NUMBERS = {int, float}
 _draft_items = jsonschema.Draft202012Validator.VALIDATORS["items"]
 
 
-def _items(validator, items, instance, schema):
-    """Draft 2020-12 `items`, with one pass for a flat list of numbers.
+def _cells(items, instance):
+    """Entries of `instance` that must all be plain numbers for `items` to
+    hold, when `items` is {"type": "number"} or an array of such with every
+    row length within minItems/maxItems; else None."""
+    if items == _NUMBER:
+        return instance
+    if (items.get("type") == "array" and items.get("items") == _NUMBER
+            and items.keys() <= {"type", "items", "minItems", "maxItems"}
+            and set(map(type, instance)) <= {list}
+            and all(items.get("minItems", 0) <= n <= items.get("maxItems", n)
+                    for n in set(map(len, instance)))):
+        return itertools.chain.from_iterable(instance)
+    return None
 
-    A list whose entries are all plain int or float has no error under
-    {"type": "number"}; every other list goes through jsonschema's own
-    keyword, so the errors are the same.
+
+def _items(validator, items, instance, schema):
+    """Draft 2020-12 `items`, with one pass for lists of numbers or of rows:
+    such a list has no error when every cell is a plain int or float. Every
+    other list goes through jsonschema's own keyword, so errors are the same.
     """
-    if (items == _NUMBER and type(instance) is list and "prefixItems" not in schema
-            and set(map(type, instance)) <= _PLAIN_NUMBERS):
-        return
+    if type(instance) is list and "prefixItems" not in schema:
+        cells = _cells(items, instance)
+        if cells is not None and set(map(type, cells)) <= _PLAIN_NUMBERS:
+            return
     yield from _draft_items(validator, items, instance, schema)
 
 

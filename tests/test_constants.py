@@ -5,12 +5,14 @@ from hypothesis import given, strategies as st
 
 from ccgclocks.constants import (
     CONSTANTS,
+    G_HBAR_OVER_C4,
     AngularFrequency,
     FrequencyConvention,
     PhysicalConstants,
     PositionMeasurementRate,
     Rate,
     apply_convention,
+    dephasing_prefactor,
 )
 
 
@@ -74,3 +76,10 @@ def test_scalar_types_validate():
         Rate(-1e-3)
     with pytest.raises(ValueError):
         PositionMeasurementRate(float("nan"))
+
+
+@pytest.mark.parametrize("omega", [1e15, 2 * math.pi * 1e15, 8e17, 1e26, 0.0])
+def test_shared_prefactors_keep_their_operation_order(omega):
+    G, hbar, c = CONSTANTS.G, CONSTANTS.hbar, CONSTANTS.c
+    assert dephasing_prefactor(omega) == G * hbar * omega ** 2 / (2.0 * c ** 4)
+    assert G_HBAR_OVER_C4 == G * hbar / c**4

@@ -1,12 +1,18 @@
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ccgclocks.cli import EXIT_COMPUTATION, main
 from ccgclocks.continuum import (
     DEFAULT_SIDES,
     ContinuumEstimate,
+    _center_sum_fast,
+    _exact_sum,
     compare_sum_vs_integral,
     continuum_sum,
     fit_scaling,
@@ -14,7 +20,7 @@ from ccgclocks.continuum import (
     lattice_sum_exact,
     scaling_rate_sweep,
 )
-from ccgclocks.geometry import build_lattice
+from ccgclocks.geometry import ClockArray, build_lattice
 
 W15 = 1e15
 
@@ -77,6 +83,63 @@ class TestLatticeSumExact:
         with pytest.raises(ValueError):
             lattice_sum_exact(arr, 7, 1.0)
 
+    def test_underflowed_distance_is_loud(self):
+        # distinct positions whose distance underflows to zero: the sum was nan
+        arr = ClockArray(np.full(2, W15), [[0.0, 0, 0], [1e-170, 0, 0]])
+        with pytest.raises(ValueError, match="not finite"):
+            lattice_sum_exact(arr, 0, 1.0)
+
+
+def full_grid_fsum(D, side, alpha, L_c):
+    """Reference: fsum over every site of the full grid but the center."""
+    half = (side - 1) // 2
+    sq = (np.arange(-half, half + 1, dtype=float) * L_c) ** 2
+    d2 = sq
+    for _ in range(D - 1):
+        d2 = np.add.outer(d2, sq)
+    d2 = np.delete(d2.ravel(), d2.size // 2)
+    return math.fsum((d2 ** (-alpha / 2.0)).tolist())
+
+
+@pytest.mark.parametrize("terms", [[1.0, math.inf], [math.nan, 1.0], [1e308, 1e308]])
+def test_exact_sum_rejects_non_finite_totals(terms):
+    # the last case overflows inside fsum, which raises OverflowError
+    with pytest.raises(ValueError, match="sum X is not finite"):
+        _exact_sum(np.array(terms), "sum X")
+
+
+class TestCenterSumFast:
+    @pytest.mark.parametrize("L_c", [1.0, 8e-7, 3.3e-10, 7.77e3])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_orthant_fold_equals_full_grid_fsum(self, D, alpha, L_c):
+        for side in DEFAULT_SIDES[D]:
+            assert _center_sum_fast(D, side, alpha, L_c) == \
+                full_grid_fsum(D, side, alpha, L_c), side
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.integers(1, 40), st.sampled_from([1.0, 2.0]),
+           st.floats(1e-100, 1e100))
+    def test_orthant_fold_property(self, D, half, alpha, L_c):
+        side = 2 * half + 1
+        assert _center_sum_fast(D, side, alpha, L_c) == full_grid_fsum(D, side, alpha, L_c)
+
+    @pytest.mark.parametrize("alpha, L_c", [(1.0, 1e-170), (2.0, 1e-170),
+                                            (1.0, 1e160), (2.0, 1e-160), (1.0, 0.0)])
+    def test_unrepresentable_sum_names_lattice_constant(self, alpha, L_c):
+        # underflowed sites were dropped (sum 0.0), overflow gave 0.0 or nan
+        with pytest.raises(ValueError, match=re.escape(f"L_c={L_c!r}")):
+            _center_sum_fast(2, 5, alpha, L_c)
+
+    def test_scaling_cli_exits_with_computation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "scaling-sweep", "parameters": {
+            "dimension": 2, "mode": "pairwise", "case": "A-free",
+            "lattice_constant": 1e-170}}), encoding="utf-8")
+        code = main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_COMPUTATION
+        assert "L_c=1e-170" in capsys.readouterr().err
+
 
 class TestContinuumSum:
     def test_1d_log_case_two_sided(self):
@@ -133,7 +196,6 @@ class TestCompareSumVsIntegral:
         assert math.isfinite(ratio) and ratio > 0
 
     def test_requires_lattice_metadata(self):
-        from ccgclocks.geometry import ClockArray
         arr = ClockArray([W15, W15], [[0, 0, 0], [1, 0, 0]])
         with pytest.raises(ValueError, match="lattice metadata"):
             compare_sum_vs_integral(arr, 1.0)

@@ -9,6 +9,7 @@ from ccgclocks.lindblad import (
     CoherenceTrace,
     DensityMatrix,
     EvolutionModel,
+    _generator_tables,
     build_model,
     coherence_decay_rate,
     dimensionless_model,
@@ -209,6 +210,18 @@ class TestEvolveExact:
         rng = np.random.default_rng(seed)
         out = evolve_exact(random_density(rng, n), random_model(rng, n, kind), t)
         DensityMatrix(out.matrix)  # raises if not a state
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_in_place_kernel_matches_reference_bit_for_bit(self, kind):
+        # the one-expression kernel, each step its own temporary
+        rng = np.random.default_rng(11)
+        for n in range(1, 6):
+            rho, model = random_density(rng, n), random_model(rng, n, kind)
+            e, z, zm, q = _generator_tables(model)
+            lam = q[:, None] + q[None, :] - 2.0 * (zm @ z.T)
+            for t in (0.0, 0.37, 2.5, 40.0, np.float64(1.1)):
+                want = rho.matrix * np.exp((-1j * np.subtract.outer(e, e) - lam) * t)
+                assert evolve_exact(rho, model, t).matrix.tobytes() == want.tobytes()
 
     def test_populations_invariant(self):
         rng = np.random.default_rng(5)

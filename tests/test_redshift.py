@@ -150,6 +150,11 @@ class TestCompositeDephasing:
         with pytest.raises(ValueError, match="exclusion"):
             composite_dephasing(body, (0, 0, 0), W15, 0.0)
 
+    def test_overflowing_feedback_sum_is_loud(self):
+        body = CompositeBody(1e150, 1.0, ExplicitAtoms(np.array([[1.0, 0, 0], [2.0, 0, 0]])))
+        with pytest.raises(ValueError, match="feedback sum is not finite"):
+            composite_dephasing(body, (0, 0, 0), W15, 0.0, gamma_atoms=1e-300)
+
     def test_position_diffusion_reported(self):
         body = CompositeBody(1.0, 0.1, ExplicitAtoms(np.array([[1.0, 0, 0]])))
         out = composite_dephasing(body, (0, 0, 0), W15, gamma_z=0.5)

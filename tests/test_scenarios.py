@@ -176,6 +176,68 @@ def test_bad_position_error_matches_jsonschema(bad):
     assert list(reference.path) == ["geometry", "clocks", 1, "position", 2]
 
 
+def _crystal(positions):
+    return {"kind": "redshift",
+            "parameters": {"body": {"kind": "crystal", "atom_mass": 1.81e-25,
+                                    "lattice_constant": 1e-10, "positions": positions,
+                                    "clock_position": [0.0, 0.0, 0.0]},
+                           "quoted_frequency": 1e15, "gamma_clock": 0.0}}
+
+
+_CRYSTAL_ROWS = [[1.0 + 1e-10 * k, 0.0, 0] for k in range(10_000)]
+
+
+def test_large_crystal_passes_like_jsonschema():
+    config = _crystal(_CRYSTAL_ROWS)
+    validate_scenario(config)
+    validator = jsonschema.Draft202012Validator(_PARAMETER_SCHEMAS["redshift"])
+    assert not list(validator.iter_errors(config["parameters"]))
+
+
+@pytest.mark.parametrize("row, cell", [
+    (None, True), (None, "1.0"), (None, None), (None, [1.0]),
+    ([1.0, 2.0], None), ([1.0, 2.0, 3.0, 4.0], None), ([[1.0, 2.0, 3.0]], None),
+])
+def test_bad_crystal_position_error_matches_jsonschema(row, cell):
+    # a bad cell, or a whole row of the wrong length or depth
+    rows = [list(r) for r in _CRYSTAL_ROWS]
+    if row is None:
+        rows[6543][1] = rows[9000][2] = cell
+    else:
+        rows[6543] = rows[9000] = row
+    config = _crystal(rows)
+    validator = jsonschema.Draft202012Validator(_PARAMETER_SCHEMAS["redshift"])
+    reference = sorted(validator.iter_errors(config["parameters"]), key=str)[0]
+    with pytest.raises(jsonschema.ValidationError) as info:
+        validate_scenario(config)
+    got = info.value
+    assert list(got.path) == ["parameters", *reference.path]
+    # the body's oneOf error carries each branch's errors as its context
+    assert got.message == reference.message
+    assert sorted((list(e.path), e.message) for e in got.context) == \
+        sorted((list(e.path), e.message) for e in reference.context)
+
+
+_numbers = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False))
+_cells = st.one_of(_numbers, st.booleans(), st.none(), st.text(max_size=2),
+                   st.lists(st.integers(), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.lists(_numbers, max_size=5), max_size=6),
+                 st.lists(st.one_of(st.lists(_cells, max_size=5), _cells), max_size=6)),
+       st.sampled_from([{}, {"minItems": 2}, {"maxItems": 3},
+                        {"minItems": 3, "maxItems": 3}, {"uniqueItems": True}]),
+       st.sampled_from(["number", "integer"]))
+def test_row_items_match_jsonschema(rows, bounds, cell_type):
+    # only number rows with length bounds take the one-pass path
+    schema = {"type": "array",
+              "items": {"type": "array", "items": {"type": cell_type}, **bounds}}
+    got = sorted(map(str, scenarios._Validator(schema).iter_errors(rows)))
+    want = sorted(map(str, jsonschema.Draft202012Validator(schema).iter_errors(rows)))
+    assert got == want
+
+
 @pytest.mark.parametrize("config", [
     {"kind": "rates", "surprise": 1},
     {"kind": "nonsense"},
