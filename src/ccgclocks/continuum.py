@@ -59,7 +59,9 @@ def lattice_sum_exact(array: ClockArray, center_index: int, alpha: float) -> flo
     pos = array.positions
     d = np.linalg.norm(pos - pos[center_index], axis=1)
     d = np.delete(d, center_index)
-    return _exact_sum(d ** (-alpha), f"distance sum for clock {center_index}")
+    with np.errstate(divide="ignore", over="ignore"):  # raised as ValueError
+        terms = d ** (-alpha)
+    return _exact_sum(terms, f"distance sum for clock {center_index}")
 
 
 @dataclass(frozen=True)
@@ -221,15 +223,17 @@ def _center_sum_fast(D: int, side: int, alpha: float, L_c: float) -> float:
     the result equals fsum over the full grid.
     """
     half = (side - 1) // 2
-    sq = (np.arange(half + 1, dtype=float) * L_c) ** 2
     mirrors = np.r_[1.0, np.full(half, 2.0)]
-    d2, weight = sq, mirrors
-    for _ in range(D - 1):
-        d2, weight = np.add.outer(d2, sq), np.multiply.outer(weight, mirrors)
-    d2, weight = d2.ravel()[1:], weight.ravel()[1:]  # drop the origin
-    if not np.all((d2 > 0) & (d2 < np.inf)):
-        raise ValueError(f"squared site distances underflow or overflow at L_c={L_c!r}")
-    return _exact_sum(weight * d2 ** (-alpha / 2.0), f"distance sum at L_c={L_c!r}")
+    with np.errstate(over="ignore"):  # raised as ValueError below
+        sq = (np.arange(half + 1, dtype=float) * L_c) ** 2
+        d2, weight = sq, mirrors
+        for _ in range(D - 1):
+            d2, weight = np.add.outer(d2, sq), np.multiply.outer(weight, mirrors)
+        d2, weight = d2.ravel()[1:], weight.ravel()[1:]  # drop the origin
+        if not np.all((d2 > 0) & (d2 < np.inf)):
+            raise ValueError(f"squared site distances underflow or overflow at L_c={L_c!r}")
+        terms = weight * d2 ** (-alpha / 2.0)
+    return _exact_sum(terms, f"distance sum at L_c={L_c!r}")
 
 
 def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,

@@ -290,5 +290,4 @@ def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
     with np.errstate(divide="ignore"):
         g = G_HBAR_OVER_C4 * np.outer(array.omegas, array.omegas) / d
     g[~off_diag] = 0.0
-    g = 0.5 * (g + g.T)  # exact symmetry despite float noise in d
     return PairRateMatrix(g, convention=array.convention)

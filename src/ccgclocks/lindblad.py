@@ -63,7 +63,8 @@ def qubit_state(state) -> np.ndarray:
         return np.outer(ket, ket.conj())
     arr = np.asarray(state, dtype=complex)
     if arr.shape == (2,):
-        norm = np.linalg.norm(arr)
+        with np.errstate(over="ignore"):  # an overflowing norm is raised below
+            norm = np.linalg.norm(arr)
         if norm == 0:
             raise ValueError("qubit ket must be non-zero")
         if not np.isfinite(norm):

@@ -32,7 +32,7 @@ from .constants import DEFAULT_CONVENTION, FrequencyConvention
 from .geometry import PairRateMatrix
 
 OBJECTIVE_TOLERANCE = 1e-10
-ITERATION_CAP = 10**5
+ITERATION_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -159,19 +159,23 @@ class OptimizeError(RuntimeError):
 # -- dephasing under given rates -------------------------------------------
 
 def _pairwise_per_clock(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Per-clock pairwise dephasing; gamma may carry leading batch axes."""
     n = g.shape[0]
     off = ~np.eye(n, dtype=bool)
-    terms = np.zeros_like(g)
-    terms[off] = gamma[off] / 2.0 + g[off] ** 2 / (8.0 * gamma.T[off])
-    return terms.sum(axis=1)
+    terms = np.zeros(gamma.shape)
+    terms[..., off] = (gamma[..., off] / 2.0
+                       + g[off] ** 2 / (8.0 * np.swapaxes(gamma, -1, -2)[..., off]))
+    return terms.sum(axis=-1)
 
 
 def _global_per_clock(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Per-clock global dephasing; gamma may carry leading batch axes."""
     n = g.shape[0]
     off = ~np.eye(n, dtype=bool)
-    feed = np.zeros_like(g)
-    feed[off] = g[off] ** 2 / (8.0 * np.broadcast_to(gamma, (n, n))[off])
-    return gamma / 2.0 + feed.sum(axis=1)
+    feed = np.zeros(gamma.shape + (n,))
+    feed[..., off] = g[off] ** 2 / (8.0 * np.broadcast_to(
+        gamma[..., None, :], feed.shape)[..., off])
+    return gamma / 2.0 + feed.sum(axis=-1)
 
 
 def dephasing_given_rates(g: PairRateMatrix, rates: MeasurementRates) -> DephasingReport:
@@ -270,57 +274,51 @@ def min_dephasing_global_B(g: PairRateMatrix) -> DephasingReport:
 
 # -- numerical optimizer -----------------------------------------------------
 
-def _coordinate_descent(objective, x0: np.ndarray):
-    """Cyclic per-coordinate Newton descent in log-space.
+# mode -> (channel, one log-rate shared by every channel?, case)
+_MODES = {
+    "pairwise": ("pairwise", False, "A-free"),
+    "global": ("global", False, "A-free"),
+    "fixed-scalar": ("pairwise", True, "B-fixed"),
+    "fixed-scalar-global": ("global", True, "B-fixed"),
+}
+# the probe points of one Newton iteration are evaluated in blocks of at most
+# this many rate-array floats, so memory stays bounded for any N
+_BLOCK_FLOATS = 2**21
 
-    Derivatives are taken by central differences, so the update never reuses
-    the closed-form algebra it is meant to check. Each coordinate's section of
-    the objective is strictly convex, which makes the safeguarded Newton step
-    globally convergent here. Returns (x, f, converged); x is the best point
-    reached even when the iteration cap stops the descent.
+
+def _newton(summed, x0: np.ndarray, block: int):
+    """Diagonal Newton descent on the summed dephasing of log-rates x.
+
+    In x every mode's objective is a sum of one-dimensional terms
+    a e^x + b e^-x with a, b > 0, each strictly convex, so the Hessian is
+    diagonal.
+    `summed` maps points of shape (..., K) to the objective, shape (...).
+    Every iteration takes all K first and second partials from central
+    differences over the points x +- h e_k, evaluated `block` coordinates at
+    a time; they never reuse the closed-form algebra the optimizer checks.
+    The step -d1/d2 (a sign step where d2 <= 0) is clipped to +-5 and halved
+    until the objective does not rise.
+    Returns (x, converged); x is the best point reached even when the
+    iteration cap stops the descent.
     """
-    x = x0.copy()
-    f_prev = objective(x)
-    updates = 0
+    h, k = 1e-5, len(x0)
+    x, f = x0, float(summed(x0))
     for _ in range(ITERATION_CAP):
-        for k in range(len(x)):
-            for _ in range(80):
-                h = 1e-5
-                xk = x[k]
-                x[k] = xk + h
-                fp = objective(x)
-                x[k] = xk - h
-                fm = objective(x)
-                x[k] = xk
-                f0 = objective(x)
-                d1 = (fp - fm) / (2 * h)
-                d2 = (fp - 2 * f0 + fm) / (h * h)
-                if d2 <= 0:
-                    step = -math.copysign(1.0, d1)
-                else:
-                    step = -d1 / d2
-                step = min(5.0, max(-5.0, step))
-                if abs(step) < 1e-12:
-                    break
-                x[k] = xk + step
-                if objective(x) > f0:
-                    # overshoot: back off until the move pays
-                    while abs(step) > 1e-12 and objective(x) > f0:
-                        step /= 2.0
-                        x[k] = xk + step
-                    if abs(step) <= 1e-12:
-                        x[k] = xk
-                        break
-            updates += 1
-            if updates >= ITERATION_CAP:
-                break
-        f_now = objective(x)
-        if abs(f_prev - f_now) <= OBJECTIVE_TOLERANCE * max(abs(f_now), 1e-300):
-            return x, f_now, True
-        f_prev = f_now
-        if updates >= ITERATION_CAP:
-            break
-    return x, f_prev, False
+        fp, fm = np.concatenate([
+            summed(x + np.stack([e, -e]))
+            for e in (h * np.eye(min(block, k - lo), k, lo) for lo in range(0, k, block))],
+            axis=1)
+        d1, d2 = (fp - fm) / (2 * h), (fp - 2 * f + fm) / (h * h)
+        step = np.clip(np.divide(-d1, d2, out=-np.sign(d1), where=d2 > 0), -5.0, 5.0)
+        # ends at the latest when x + step rounds to x
+        while (f_new := float(summed(x + step))) > f:
+            step /= 2.0
+        x = x + step
+        converged = abs(f - f_new) <= OBJECTIVE_TOLERANCE * max(abs(f_new), 1e-300)
+        f = f_new
+        if converged:
+            return x, True
+    return x, False
 
 
 def optimize_rates(g: PairRateMatrix, mode: str) -> tuple[MeasurementRates, DephasingReport]:
@@ -331,6 +329,9 @@ def optimize_rates(g: PairRateMatrix, mode: str) -> tuple[MeasurementRates, Deph
     "fixed-scalar-global" (one shared rate, global channels).
     Returns the arg-min rates and the achieved per-clock report.
     """
+    if mode not in _MODES:
+        raise ValueError(f"unknown optimization mode {mode!r}")
+    channel, shared, case = _MODES[mode]
     n = len(g)
     if n < 2:
         raise ValueError("optimization needs at least two clocks")
@@ -338,64 +339,29 @@ def optimize_rates(g: PairRateMatrix, mode: str) -> tuple[MeasurementRates, Deph
     off = ~np.eye(n, dtype=bool)
     if not np.all(mat[off] > 0):
         raise ValueError("optimization requires strictly positive pair rates")
-    scale = float(np.exp(np.mean(np.log(mat[off]))))
+    slots = n * (n - 1) if channel == "pairwise" else n
+    pick = np.zeros(slots, dtype=int) if shared else np.arange(slots)
+    kernel = _pairwise_per_clock if channel == "pairwise" else _global_per_clock
 
-    if mode == "pairwise":
-        idx = np.argwhere(off)
+    def expand(x):
+        """Log-rates (..., K) -> rate array (..., n, n) or (..., n)."""
+        r = np.exp(x)[..., pick]
+        if channel == "global":
+            return r
+        gam = np.zeros(x.shape[:-1] + (n, n))
+        gam[..., off] = r
+        return gam
 
-        def build(x):
-            gam = np.zeros((n, n))
-            gam[idx[:, 0], idx[:, 1]] = np.exp(x)
-            return gam
-
-        def objective(x):
-            return float(_pairwise_per_clock(mat, build(x)).sum())
-
-        x0 = np.full(len(idx), math.log(scale))
-        make_rates = lambda x: MeasurementRates("pairwise", pairwise_gamma=build(x))
-        formula = "optimizer-pairwise"
-        case = "A-free"
-    elif mode == "global":
-        def objective(x):
-            return float(_global_per_clock(mat, np.exp(x)).sum())
-
-        x0 = np.full(n, math.log(scale))
-        make_rates = lambda x: MeasurementRates("global", global_gamma=np.exp(x))
-        formula = "optimizer-global"
-        case = "A-free"
-    elif mode == "fixed-scalar":
-        def build(x):
-            gam = np.full((n, n), math.exp(x[0]))
-            np.fill_diagonal(gam, 0.0)
-            return gam
-
-        def objective(x):
-            return float(_pairwise_per_clock(mat, build(x)).sum())
-
-        x0 = np.array([math.log(scale)])
-        make_rates = lambda x: MeasurementRates("pairwise", pairwise_gamma=build(x))
-        formula = "optimizer-fixed-scalar"
-        case = "B-fixed"
-    elif mode == "fixed-scalar-global":
-        def objective(x):
-            return float(_global_per_clock(mat, np.full(n, math.exp(x[0]))).sum())
-
-        x0 = np.array([math.log(scale)])
-        make_rates = lambda x: MeasurementRates(
-            "global", global_gamma=np.full(n, math.exp(x[0])))
-        formula = "optimizer-fixed-scalar-global"
-        case = "B-fixed"
-    else:
-        raise ValueError(f"unknown optimization mode {mode!r}")
-
-    x, _, converged = _coordinate_descent(objective, x0)
-    rates = make_rates(x)
+    x0 = np.full(1 if shared else slots, np.mean(np.log(mat[off])))
+    x, converged = _newton(lambda x: kernel(mat, expand(x)).sum(axis=-1), x0,
+                           max(1, _BLOCK_FLOATS // (2 * n * n)))
+    rates = MeasurementRates(channel, **{f"{channel}_gamma": expand(x)})
     achieved = dephasing_given_rates(g, rates)
-    report = DephasingReport(achieved.per_clock, achieved.mode, case,
-                             convention=g.convention, formula_id=formula,
+    report = DephasingReport(achieved.per_clock, channel, case,
+                             convention=g.convention, formula_id=f"optimizer-{mode}",
                              optimal_rates=rates)
     if not converged:
         raise OptimizeError(
-            f"optimizer did not converge within {ITERATION_CAP} coordinate updates",
+            f"optimizer did not converge within {ITERATION_CAP} Newton iterations",
             best_rates=rates, best_report=report)
     return rates, report

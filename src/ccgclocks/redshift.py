@@ -209,7 +209,8 @@ def composite_dephasing(body: CompositeBody, clock_position, omega, gamma_z, *,
             f"clock lies inside the exclusion radius of atom {k} "
             f"(distance {d[k]:.3e} m < {exclusion:.3e} m)")
     couplings = CONSTANTS.G * body.atom_mass * w / (CONSTANTS.c ** 2 * d ** 2)
-    feedback = _exact_sum(couplings ** 2 / (8.0 * gamma), "redshift feedback sum")
+    with np.errstate(over="ignore"):  # raised as ValueError
+        feedback = _exact_sum(couplings ** 2 / (8.0 * gamma), "redshift feedback sum")
     if gz > 0:
         diffusion = gamma / 2.0 + couplings ** 2 / (8.0 * gz)
     else:

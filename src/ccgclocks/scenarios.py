@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -228,31 +229,40 @@ _PLAIN_NUMBERS = {int, float}
 _draft_items = jsonschema.Draft202012Validator.VALIDATORS["items"]
 
 
-def _cells(items, instance):
-    """Entries of `instance` that must all be plain numbers for `items` to
-    hold, when `items` is {"type": "number"} or an array of such with every
-    row length within minItems/maxItems; else None."""
+def _offenders(items, instance):
+    """Indices of the elements of `instance` that jsonschema must check
+    against `items`, when `items` is {"type": "number"} or an array of such
+    with no keyword but minItems/maxItems; else None. Every other element is
+    a plain int or float, or a list of them of allowed length: no error."""
     if items == _NUMBER:
-        return instance
-    if (items.get("type") == "array" and items.get("items") == _NUMBER
-            and items.keys() <= {"type", "items", "minItems", "maxItems"}
-            and set(map(type, instance)) <= {list}
-            and all(items.get("minItems", 0) <= n <= items.get("maxItems", n)
-                    for n in set(map(len, instance)))):
-        return itertools.chain.from_iterable(instance)
-    return None
+        if set(map(type, instance)) <= _PLAIN_NUMBERS:
+            return ()
+        return (k for k, x in enumerate(instance) if type(x) not in _PLAIN_NUMBERS)
+    if not (items.get("type") == "array" and items.get("items") == _NUMBER
+            and items.keys() <= {"type", "items", "minItems", "maxItems"}):
+        return None
+    lo, hi = items.get("minItems", 0), items.get("maxItems", math.inf)
+    if (set(map(type, instance)) <= {list}
+            and all(lo <= n <= hi for n in set(map(len, instance)))
+            and set(map(type, itertools.chain.from_iterable(instance))) <= _PLAIN_NUMBERS):
+        return ()  # one pass over every cell, the common case
+    return (k for k, row in enumerate(instance)
+            if not (type(row) is list and lo <= len(row) <= hi
+                    and set(map(type, row)) <= _PLAIN_NUMBERS))
 
 
 def _items(validator, items, instance, schema):
-    """Draft 2020-12 `items`, with one pass for lists of numbers or of rows:
-    such a list has no error when every cell is a plain int or float. Every
-    other list goes through jsonschema's own keyword, so errors are the same.
-    """
+    """Draft 2020-12 `items` that hands jsonschema only the elements that
+    `_offenders` names, in order and with their index as path, as
+    jsonschema's own keyword does; so errors are the same."""
+    offenders = None
     if type(instance) is list and "prefixItems" not in schema:
-        cells = _cells(items, instance)
-        if cells is not None and set(map(type, cells)) <= _PLAIN_NUMBERS:
-            return
-    yield from _draft_items(validator, items, instance, schema)
+        offenders = _offenders(items, instance)
+    if offenders is None:
+        yield from _draft_items(validator, items, instance, schema)
+        return
+    for k in offenders:
+        yield from validator.descend(instance[k], items, path=k)
 
 
 _Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator,
@@ -270,7 +280,9 @@ def validate_scenario(config: dict) -> None:
         raise error
     kind = config["kind"]
     params = config.get("parameters", {})
-    for error in sorted(_PARAMETER_VALIDATORS[kind].iter_errors(params), key=str):
+    errors = list(_PARAMETER_VALIDATORS[kind].iter_errors(params))
+    if errors:  # the first by str, which pretty-prints the instance: only if several
+        error = min(errors, key=str) if len(errors) > 1 else errors[0]
         error.path.appendleft("parameters")
         raise error
     if kind == "rates":

@@ -330,6 +330,52 @@ class TestOptimizer:
             optimize_rates(two_clock_matrix(), "per-clock")
 
 
+_CLOSED_FORMS = {"pairwise": min_dephasing_pairwise_A, "global": min_dephasing_global_A,
+                 "fixed-scalar": min_dephasing_pairwise_B,
+                 "fixed-scalar-global": min_dephasing_global_B}
+
+
+@st.composite
+def clouds(draw):
+    """A PairRateMatrix of 2 to 8 clocks on distinct sites of a small grid."""
+    sites = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * 3),
+                          min_size=2, max_size=8, unique=True))
+    omegas = draw(st.lists(st.floats(1e14, 1e16), min_size=len(sites),
+                           max_size=len(sites)))
+    return pair_rate_matrix(ClockArray(np.array(omegas), 1e-7 * np.array(sites)))
+
+
+class TestOptimizerProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(mode=st.sampled_from(sorted(_CLOSED_FORMS)), g=clouds())
+    def test_objective_meets_closed_form(self, mode, g):
+        closed = _CLOSED_FORMS[mode](g)
+        if closed.case == "B-fixed":
+            # the B per-clock forms assume equivalent sites; the summed minimum
+            # is the summed dephasing at their single optimal scalar
+            best = dephasing_given_rates(g, closed.optimal_rates).objective()
+        else:
+            best = closed.objective()
+        _, rep = optimize_rates(g, mode)
+        n = len(g)
+        assert rep.objective() >= best * (1 - 4e-16 * n ** 2)
+        assert rep.objective() == pytest.approx(best, rel=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mode=st.sampled_from(sorted(_CLOSED_FORMS)), g=clouds(), data=st.data())
+    def test_permuting_clocks_permutes_rates(self, mode, g, data):
+        perm = np.array(data.draw(st.permutations(range(len(g)))))
+        rates, _ = optimize_rates(g, mode)
+        rates_p, _ = optimize_rates(
+            PairRateMatrix.from_matrix(g.g[np.ix_(perm, perm)]), mode)
+        if rates.mode == "pairwise":
+            want = rates.pairwise_gamma[np.ix_(perm, perm)]
+            assert rates_p.pairwise_gamma == pytest.approx(want, rel=1e-6)
+        else:
+            assert rates_p.global_gamma == pytest.approx(
+                rates.global_gamma[perm], rel=1e-6)
+
+
 class TestInvariants:
     def test_given_rates_at_optimum_matches_closed_form_pairwise(self):
         # exact per-clock equality for any geometry in the pairwise case

@@ -238,6 +238,28 @@ def test_row_items_match_jsonschema(rows, bounds, cell_type):
     assert got == want
 
 
+@pytest.mark.parametrize("items, good, bad", [
+    ({"type": "number"}, 1.5, True),
+    ({"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
+     [1.0, 2.0, 3.0], [1.0, 2.0]),
+])
+def test_bad_number_list_checks_only_its_offenders(monkeypatch, items, good, bad):
+    instance = [good] * 1000
+    instance[500] = instance[900] = bad
+    descend, seen = scenarios._Validator.descend, []
+
+    def spy(self, *args, **kwargs):
+        seen.append(kwargs.get("path"))
+        return descend(self, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios._Validator, "descend", spy)
+    schema = {"type": "array", "items": items}
+    got = [str(e) for e in scenarios._Validator(schema).iter_errors(instance)]
+    assert seen == [500, 900]
+    assert got == [str(e) for e in
+                   jsonschema.Draft202012Validator(schema).iter_errors(instance)]
+
+
 @pytest.mark.parametrize("config", [
     {"kind": "rates", "surprise": 1},
     {"kind": "nonsense"},
