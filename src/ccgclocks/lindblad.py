@@ -41,8 +41,8 @@ from .geometry import ClockArray, pair_rate_matrix
 from .rates import MeasurementRates, dephasing_given_rates
 
 DENSE_CLOCK_LIMIT = 12       # 2^N density matrices
-ANALYTIC_CLOCK_LIMIT = 20    # closed-form coherences only
 NUMERIC_CLOCK_LIMIT = 10     # 4^N superoperator diagonal
+EXPORT_CLOCK_LIMIT = 4       # density matrices written as JSON
 
 _NAMED_KETS = {
     "zero": np.array([1.0, 0.0], dtype=complex),
@@ -53,8 +53,19 @@ _NAMED_KETS = {
 }
 
 
+def _check_dense(n: int) -> None:
+    """Refuse an object with 2^n rows before it is allocated."""
+    if n > DENSE_CLOCK_LIMIT:
+        raise ValueError(f"dense 2^N states are limited to {DENSE_CLOCK_LIMIT} "
+                         f"clocks, got {n}")
+
+
 def qubit_state(state) -> np.ndarray:
-    """Normalize a qubit description (name, ket or 2x2 matrix) to a 2x2 dm."""
+    """Normalize a qubit description (name, ket or 2x2 matrix) to a 2x2 dm.
+
+    Every result is a state: a normalized ket gives a Hermitian rank-one
+    matrix, and a matrix, or a ket whose norm lost digits, passes the full
+    `DensityMatrix` check."""
     if isinstance(state, str):
         if state not in _NAMED_KETS:
             raise ValueError(f"unknown state name {state!r}; "
@@ -70,10 +81,12 @@ def qubit_state(state) -> np.ndarray:
         if not np.isfinite(norm):
             raise ValueError("qubit ket must have a finite norm")
         ket = arr / norm
-        return np.outer(ket, ket.conj())
-    if arr.shape == (2, 2):
-        return arr
-    raise ValueError(f"cannot interpret {state!r} as a qubit state")
+        arr = np.outer(ket, ket.conj())
+        if abs(arr.trace() - 1.0) <= DensityMatrix.TRACE_TOL:
+            return arr
+    elif arr.shape != (2, 2):
+        raise ValueError(f"cannot interpret {state!r} as a qubit state")
+    return DensityMatrix(arr).matrix
 
 
 class DensityMatrix:
@@ -126,17 +139,14 @@ class DensityMatrix:
     def from_qubit_states(cls, states) -> "DensityMatrix":
         """Product state of qubit names, kets or 2x2 matrices.
 
-        A product of normalized finite kets is Hermitian and PSD by
-        construction, so only its trace is checked; a list with an explicit
-        2x2 matrix pays the full validation.
+        Every factor is a state (see `qubit_state`) and a Kronecker product
+        of states is a state, so only the product's trace is checked.
         """
+        factors = [qubit_state(s) for s in states]
+        _check_dense(len(factors))
         rho = np.array([[1.0 + 0j]])
-        certified = True
-        for s in states:
-            rho = np.kron(rho, qubit_state(s))
-            certified = certified and np.ndim(s) < 2
-        if not certified:
-            return cls(rho)
+        for f in factors:
+            rho = np.kron(rho, f)
         if abs(rho.trace() - 1.0) > cls.TRACE_TOL:
             raise ValueError(f"trace must be 1, got {rho.trace()}")
         return cls._trusted(rho)
@@ -152,8 +162,8 @@ class DensityMatrix:
         return np.real(np.diag(self._m)).copy()
 
     def to_json_dict(self) -> dict:
-        if self.n_clocks > 4:
-            raise ValueError("JSON export is limited to 4 clocks")
+        if self.n_clocks > EXPORT_CLOCK_LIMIT:
+            raise ValueError(f"JSON export is limited to {EXPORT_CLOCK_LIMIT} clocks")
         return {
             "n_clocks": self.n_clocks,
             "real": self._m.real.tolist(),
@@ -166,6 +176,7 @@ class DensityMatrix:
 
 def _z_table(n: int) -> np.ndarray:
     """(2^n, n) table of sigma_z eigenvalues; clock 0 is the leading bit."""
+    _check_dense(n)
     return 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> (n - 1 - np.arange(n))) & 1)
 
 
@@ -192,7 +203,6 @@ class EvolutionModel:
     dephasing: np.ndarray
     interaction_sign: float = -1.0
     time_unit: float | None = None
-    analytic_only: bool = False
 
     def __post_init__(self):
         if self.kind not in ("unitary", "ccg-pairwise", "ccg-global"):
@@ -252,64 +262,48 @@ class EvolutionModel:
             dephasing=self.dephasing / reference,
             interaction_sign=self.interaction_sign,
             time_unit=1.0 / reference,
-            analytic_only=self.analytic_only,
         )
 
 
-def _global_dephasing_matrix(g: np.ndarray, gamma: np.ndarray,
-                             correlated: bool) -> np.ndarray:
+def _global_dephasing_matrix(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     m = np.diag(gamma / 2.0).astype(float)
     for j in range(len(gamma)):
         b = g[:, j]  # zero at j: the coupling diagonal is zero
-        if correlated:
-            m += np.outer(b, b) / (8.0 * gamma[j])
-        else:
-            m += np.diag(b ** 2) / (8.0 * gamma[j])
+        m += np.outer(b, b) / (8.0 * gamma[j])
     return m
 
 
-def _channel_dephasing(g, rates: MeasurementRates, correlated: bool) -> np.ndarray:
+def _channel_dephasing(g, rates: MeasurementRates) -> np.ndarray:
     if rates.mode == "pairwise":
         return np.diag(dephasing_given_rates(g, rates).per_clock)
     if len(rates) != len(g):
         raise ValueError("rates do not match the array size")
-    return _global_dephasing_matrix(g.g, rates.global_gamma, correlated)
+    return _global_dephasing_matrix(g.g, rates.global_gamma)
 
 
-def build_model(array: ClockArray, rates: MeasurementRates | None = None, *,
-                correlated_feedback_noise: bool = True,
-                analytic_only: bool = False) -> EvolutionModel:
+def build_model(array: ClockArray,
+                rates: MeasurementRates | None = None) -> EvolutionModel:
     """Build the evolution model for an array, optionally with a channel.
 
     Without rates the model is purely unitary. With rates the per-clock
     dephasing follows the pairwise/global channel formulas; the global kind
-    carries the correlated feedback-noise terms unless explicitly disabled
-    (the diagonal-only variant exists to demonstrate why they are needed).
+    carries the correlated feedback-noise terms.
     """
     n = len(array)
-    limit = ANALYTIC_CLOCK_LIMIT if analytic_only else DENSE_CLOCK_LIMIT
-    if n > limit:
-        if analytic_only:
-            raise ValueError(f"at most {ANALYTIC_CLOCK_LIMIT} clocks are supported")
-        raise ValueError(
-            f"dense 2^N evolution is limited to {DENSE_CLOCK_LIMIT} clocks; "
-            f"pass analytic_only=True for closed-form coherences up to "
-            f"{ANALYTIC_CLOCK_LIMIT}")
     g = pair_rate_matrix(array)
     if rates is None:
         kind = "unitary"
         m = np.zeros((n, n))
     else:
         kind = f"ccg-{rates.mode}"
-        m = _channel_dephasing(g, rates, correlated_feedback_noise)
+        m = _channel_dephasing(g, rates)
     return EvolutionModel(kind=kind, omegas=array.omegas.copy(),
-                          coupling=g.g.copy(), dephasing=m,
-                          analytic_only=analytic_only)
+                          coupling=g.g.copy(), dephasing=m)
 
 
 def dimensionless_model(coupling, kind: str = "ccg-pairwise", omegas=None,
-                        rates: MeasurementRates | str | None = "optimal", *,
-                        correlated_feedback_noise: bool = True) -> EvolutionModel:
+                        rates: MeasurementRates | str | None = "optimal"
+                        ) -> EvolutionModel:
     """Model from a dimensionless coupling matrix (reference rate = 1).
 
     rates="optimal" picks the summed-dephasing minimum for the kind; a
@@ -337,7 +331,7 @@ def dimensionless_model(coupling, kind: str = "ccg-pairwise", omegas=None,
             raise ValueError(f"unknown evolution kind {kind!r}")
         if kind != f"ccg-{rates.mode}":
             raise ValueError(f"{kind} needs {kind[4:]} rates")
-        m = _channel_dephasing(g, rates, correlated_feedback_noise)
+        m = _channel_dephasing(g, rates)
     return EvolutionModel(kind=kind, omegas=w, coupling=g.g.copy(),
                           dephasing=m, time_unit=1.0)
 
@@ -352,20 +346,18 @@ def _generator_tables(model: EvolutionModel):
     return model.basis_energies(), z, zm, np.einsum("ai,ai->a", zm, z)
 
 
-def _check_propagation(rho0: DensityMatrix, model: EvolutionModel, times) -> None:
-    if model.analytic_only:
-        raise ValueError("model was built for closed-form coherences only")
+def _check_propagation(n_state: int, model: EvolutionModel, times) -> None:
     if np.any(np.asarray(times) < 0):
         raise ValueError("time must be non-negative")
-    if rho0.n_clocks != model.n_clocks:
+    if n_state != model.n_clocks:
         raise ValueError("state and model sizes differ")
 
 
 def evolve_exact(rho0: DensityMatrix, model: EvolutionModel, t: float) -> DensityMatrix:
     """Closed-form propagation; a state by construction, so not re-validated.
     The kernel is built in the output buffer: no step allocates its own 4^N."""
-    _check_propagation(rho0, model, t)
-    e, z, zm, q = _generator_tables(model)
+    e, z, zm, q = _generator_tables(model)  # refuses a model past the dense limit
+    _check_propagation(rho0.n_clocks, model, t)
     lam = zm @ z.T
     lam *= 2.0
     np.subtract(np.add.outer(q, q), lam, out=lam)
@@ -436,7 +428,7 @@ def evolve_numeric(rho0: DensityMatrix, model: EvolutionModel, t: float,
         raise ValueError(
             f"the RK4 oracle is limited to {NUMERIC_CLOCK_LIMIT} "
             "clocks; use evolve_exact for larger systems")
-    _check_propagation(rho0, model, t)
+    _check_propagation(rho0.n_clocks, model, t)
     if t == 0.0:
         return NumericEvolution(rho=rho0, convergence_estimate=0.0, n_steps=0)
     n_steps = max(1, int(math.ceil(t / dt)))
@@ -500,7 +492,7 @@ def simulate_coherence(model: EvolutionModel, initial, times) -> CoherenceTrace:
     rho0 = initial if isinstance(initial, DensityMatrix) \
         else DensityMatrix.from_qubit_states(initial)
     times = np.asarray(times, dtype=float)
-    _check_propagation(rho0, model, times)
+    _check_propagation(rho0.n_clocks, model, times)
     e, z, zm, q = _generator_tables(model)
     upper, lower = _coherence_pairs(model.n_clocks)
     lam = q[upper] + q[lower] - 2.0 * np.einsum("kai,kai->ka", zm[upper], z[lower])
@@ -515,13 +507,14 @@ def simulate_coherence(model: EvolutionModel, initial, times) -> CoherenceTrace:
 def product_state_coherence(model: EvolutionModel, qubit_states, times) -> CoherenceTrace:
     """Closed-form per-clock coherences for a product initial state.
 
-    O(N) per clock and time sample, so it works for models up to the analytic
-    clock limit where dense density matrices are out of reach.
+    A single-clock coherence rho[a, a - 2^(N-1-i)] has z_a - z_b = 2 e_i, so
+    its decay is exp(-4 M_ii t) for every kind (the correlated global M
+    included) and the other clocks enter only through their populations.
+    O(N) per clock and time sample, with no 2^N object and no size limit.
     """
     states = [qubit_state(s) for s in qubit_states]
-    if len(states) != model.n_clocks:
-        raise ValueError("need one qubit state per clock")
     times = np.asarray(times, dtype=float)
+    _check_propagation(len(states), model, times)
     pops = np.array([np.real(s[0, 0]) for s in states])
     cohs = np.abs([s[1, 0] for s in states])
     mags = np.empty((len(times), model.n_clocks))

@@ -24,11 +24,12 @@ from .constants import FrequencyConvention, apply_convention
 from .continuum import fit_scaling, scaling_rate_sweep
 from .geometry import ClockArray, ClockSpec, build_lattice, pair_rate_matrix
 from .lindblad import (
+    EXPORT_CLOCK_LIMIT,
     DensityMatrix,
     coherence_decay_rate,
     dimensionless_model,
     evolve_exact,
-    simulate_coherence,
+    product_state_coherence,
 )
 from .rates import (
     MeasurementRates,
@@ -500,10 +501,12 @@ def _run_simulate(params, convention, stem, fmt):
     if len(states) != model.n_clocks:
         raise ValueError(
             f"initial_state has {len(states)} entries for {model.n_clocks} clocks")
-    rho0 = DensityMatrix.from_qubit_states(states)
+    export = params.get("export_density_matrix", False)
+    if export and model.n_clocks > EXPORT_CLOCK_LIMIT:
+        raise ValueError(f"JSON export is limited to {EXPORT_CLOCK_LIMIT} clocks")
     t = params["times"]
     times = np.linspace(t.get("start", 0.0), t["stop"], t["num"])
-    trace = simulate_coherence(model, rho0, times)
+    trace = product_state_coherence(model, states, times)
     summary = {
         "meta": _meta(convention),
         "kind": params["kind"],
@@ -525,8 +528,9 @@ def _run_simulate(params, convention, stem, fmt):
         out[f"{stem}.csv"] = _csv_bytes(trace.csv_rows())
     if fmt in ("json", "both"):
         out[f"{stem}.json"] = _json_bytes(summary)
-    if params.get("export_density_matrix", False):
-        final = evolve_exact(rho0, model, float(times[-1]))
+    if export:
+        final = evolve_exact(DensityMatrix.from_qubit_states(states), model,
+                             float(times[-1]))
         out[f"{stem}_rho.json"] = _json_bytes(
             {"meta": _meta(convention), "time": float(times[-1]),
              "rho": final.to_json_dict()})

@@ -300,6 +300,43 @@ class TestCliEntryPoint:
         assert "times-two-pi" in text
 
 
+def chain_config(n, export=False):
+    coupling = [[0.0 if i == j else 1.0 / abs(i - j) for j in range(n)]
+                for i in range(n)]
+    return {"kind": "simulate", "parameters": {
+        "kind": "ccg-global", "coupling_matrix": coupling,
+        "initial_state": ["plus"] + ["zero"] * (n - 1),
+        "times": {"stop": 0.5, "num": 11}, "export_density_matrix": export}}
+
+
+class TestSimulateAtArrayScale:
+    @pytest.fixture
+    def no_dense_work(self, monkeypatch):
+        from ccgclocks import lindblad, scenarios
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense 2^N work in the simulate scenario")
+
+        monkeypatch.setattr(scenarios, "evolve_exact", refuse)
+        monkeypatch.setattr(lindblad, "simulate_coherence", refuse)
+        monkeypatch.setattr(lindblad.DensityMatrix, "from_qubit_states", refuse)
+
+    def test_fourteen_clocks_run_on_the_closed_form(self, tmp_path, no_dense_work):
+        cfg = write_config(tmp_path, chain_config(14))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "simulate.json").read_text())
+        assert summary["n_clocks"] == 14
+        assert summary["fitted_decay_rate"] == pytest.approx(
+            4.0 * summary["per_clock_dephasing"][0], rel=1e-9)
+
+    @pytest.mark.parametrize("n", [5, 14])
+    def test_export_past_four_clocks_fails_before_dense_work(
+            self, tmp_path, capsys, no_dense_work, n):
+        cfg = write_config(tmp_path, chain_config(n, export=True))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "JSON export is limited to 4 clocks" in capsys.readouterr().err
+
+
 class TestPaperReport:
     def test_every_claim_present_once(self):
         rep = paper_report()

@@ -1,10 +1,12 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccgclocks.geometry import ClockArray, build_lattice
+from ccgclocks.geometry import ClockArray, build_lattice, pair_rate_matrix
 from ccgclocks.lindblad import (
     CoherenceTrace,
     DensityMatrix,
@@ -20,7 +22,7 @@ from ccgclocks.lindblad import (
     simulate_coherence,
     single_clock_coherences,
 )
-from ccgclocks.rates import MeasurementRates
+from ccgclocks.rates import MeasurementRates, min_dephasing_pairwise_A
 
 G2 = [[0.0, 1.0], [1.0, 0.0]]
 
@@ -39,12 +41,14 @@ def random_density(rng, n):
 KINDS = ("unitary", "ccg-pairwise", "ccg-global")
 
 
-def random_model(rng, n, kind):
+def random_model(rng, n, kind, optimal=False):
     g = rng.uniform(0.1, 1.0, size=(n, n))
     g = 0.5 * (g + g.T)
     np.fill_diagonal(g, 0.0)
     if kind == "unitary":
         rates = None
+    elif optimal:
+        rates = "optimal"
     elif kind == "ccg-pairwise":
         gam = rng.uniform(0.3, 1.5, size=(n, n))
         np.fill_diagonal(gam, 0.0)
@@ -53,6 +57,21 @@ def random_model(rng, n, kind):
         rates = MeasurementRates("global", global_gamma=rng.uniform(0.3, 1.5, size=n))
     return dimensionless_model(g, kind=kind, rates=rates,
                                omegas=rng.uniform(0.0, 1.0, size=n))
+
+
+def random_qubit(rng, form):
+    """A qubit state given as a name, a ket or a valid 2x2 matrix."""
+    if form == "name":
+        return str(rng.choice(["zero", "one", "plus", "minus", "plus-i"]))
+    if form == "ket":
+        return rng.normal(size=2) + 1j * rng.normal(size=2)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m = a @ a.conj().T
+    return m / np.trace(m)
+
+
+QUBIT_FORMS = st.lists(st.sampled_from(("name", "ket", "matrix")),
+                       min_size=8, max_size=8)
 
 
 class TestDensityMatrix:
@@ -101,6 +120,8 @@ class TestDensityMatrix:
         # the squared entries are subnormal, so the norm loses digits
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix.from_qubit_states([[1e-160, 1e-160]])
+        with pytest.raises(ValueError, match="trace"):
+            product_state_coherence(ccg2(), ["plus", [1e-160, 1e-160]], [0.0])
 
     def test_json_export_limited_to_four_clocks(self):
         rho = DensityMatrix.from_qubit_states(["plus"] * 5)
@@ -139,14 +160,16 @@ class TestBuildModel:
             assert model.per_clock_dephasing[i] == pytest.approx(expected, rel=1e-12)
 
     def test_size_limits(self):
-        arr = build_lattice(1, 1e-6, [13], 1e15)
-        with pytest.raises(ValueError, match="analytic_only"):
-            build_model(arr)
-        model = build_model(arr, analytic_only=True)
-        assert model.analytic_only
-        arr21 = build_lattice(1, 1e-6, [21], 1e15)
-        with pytest.raises(ValueError, match="at most 20"):
-            build_model(arr21, analytic_only=True)
+        # models have no size cap; the 2^N limit fires where a dense state
+        # would be built, before anything of that size is allocated
+        model = build_model(build_lattice(1, 1e-6, [13], 1e15))
+        assert model.n_clocks == 13
+        with pytest.raises(ValueError, match="limited to 12 clocks, got 13"):
+            DensityMatrix.from_qubit_states(["plus"] * 13)
+        with pytest.raises(ValueError, match="limited to 12 clocks, got 13"):
+            evolve_exact(DensityMatrix.all_plus(2), model, 1.0)
+        with pytest.raises(ValueError, match="limited to 12 clocks, got 13"):
+            simulate_coherence(model, ["plus"] * 13, [0.0, 1.0])
 
     def test_dephasing_must_be_symmetric_psd(self):
         common = dict(kind="ccg-global", omegas=np.zeros(2), coupling=np.array(G2))
@@ -310,28 +333,43 @@ class TestCoherence:
             simulate_coherence(ccg2(), ["plus", "zero"], [0.0, -1.0])
         with pytest.raises(ValueError, match="sizes differ"):
             simulate_coherence(ccg2(), ["plus"] * 3, [0.0, 1.0])
-        arr = build_lattice(1, 1e-6, [2], 1e15)
-        model = build_model(arr, analytic_only=True).nondimensionalized()
-        with pytest.raises(ValueError, match="closed-form"):
-            simulate_coherence(model, ["plus", "zero"], [0.0, 1.0])
+        # the closed-form path shares the checks
+        with pytest.raises(ValueError, match="non-negative"):
+            product_state_coherence(ccg2(), ["plus", "zero"], [0.0, -1.0])
+        with pytest.raises(ValueError, match="sizes differ"):
+            product_state_coherence(ccg2(), ["plus"] * 3, [0.0, 1.0])
 
     def test_single_clock_coherence_of_plus(self):
         rho = DensityMatrix.from_qubit_states(["plus", "zero", "one"])
         c = single_clock_coherences(rho)
         assert c == pytest.approx([0.5, 0.0, 0.0], abs=1e-15)
 
-    def test_product_state_coherence_matches_dense(self):
-        rng = np.random.default_rng(9)
-        g3 = np.array([[0, 1, 0.4], [1, 0, 0.7], [0.4, 0.7, 0]])
-        for kind in ("ccg-pairwise", "ccg-global", "unitary"):
-            model = dimensionless_model(
-                g3, kind=kind, omegas=[0.2, 0.9, 1.5],
-                rates=None if kind == "unitary" else "optimal")
-            kets = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(3)]
-            times = np.linspace(0, 4, 17)
-            lazy = product_state_coherence(model, kets, times)
-            dense = simulate_coherence(model, kets, times)
-            assert np.allclose(lazy.magnitudes, dense.magnitudes, atol=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from(KINDS), st.sampled_from((-1.0, 1.0)),
+           QUBIT_FORMS, st.integers(0, 2**31 - 1))
+    def test_product_state_coherence_matches_dense(self, n, kind, sign, forms, seed):
+        rng = np.random.default_rng(seed)
+        model = dataclasses.replace(random_model(rng, n, kind), interaction_sign=sign)
+        states = [random_qubit(rng, f) for f in forms[:n]]
+        times = np.concatenate(([0.0], rng.uniform(0.0, 4.0, size=8)))
+        closed = product_state_coherence(model, states, times)
+        dense = simulate_coherence(model, DensityMatrix.from_qubit_states(states), times)
+        assert np.allclose(closed.magnitudes, dense.magnitudes, rtol=0, atol=1e-14)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 3),
+           st.sampled_from(("Hermitian", "positive semidefinite")),
+           st.floats(0.01, 2.0))
+    def test_bad_matrix_entry_rejected_alike_by_both_paths(self, n, where, flaw, x):
+        bad = [[0.5, x], [0.0, 0.5]] if flaw == "Hermitian" else [[1.0 + x, 0.0], [0.0, -x]]
+        states = ["plus"] * n
+        states[where % n] = np.array(bad, dtype=complex)
+        model = random_model(np.random.default_rng(n), n, "ccg-global")
+        with pytest.raises(ValueError, match=flaw) as closed:
+            product_state_coherence(model, states, [0.0, 1.0])
+        with pytest.raises(ValueError, match=flaw) as dense:
+            simulate_coherence(model, states, [0.0, 1.0])
+        assert str(closed.value) == str(dense.value)
 
     def test_ccg_trace_monotone_from_eigenstate_environment(self):
         trace = simulate_coherence(ccg2(), ["plus", "zero"],
@@ -396,11 +434,10 @@ class TestNegativity:
         s = np.sqrt((g3**2).sum(axis=1))
         rates = MeasurementRates("global", global_gamma=s / 2)
         full = dimensionless_model(g3, kind="ccg-global", rates=rates)
-        diag = dimensionless_model(g3, kind="ccg-global", rates=rates,
-                                   correlated_feedback_noise=False)
+        diag = EvolutionModel(kind="ccg-global", omegas=full.omegas,
+                              coupling=full.coupling,
+                              dephasing=np.diag(full.per_clock_dephasing))
         assert np.any(full.dephasing - np.diag(np.diag(full.dephasing)) != 0)
-        assert full.per_clock_dephasing == pytest.approx(
-            diag.per_clock_dephasing.tolist(), rel=1e-12)
 
         rho0 = DensityMatrix.all_plus(3)
         times = np.linspace(0.0, 5.0, 26)
@@ -408,6 +445,20 @@ class TestNegativity:
         diag_max = max(negativity(evolve_exact(rho0, diag, t), [0]) for t in times)
         assert full_max <= 1e-10
         assert diag_max > 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.sampled_from(("ccg-pairwise", "ccg-global")),
+           st.booleans(), QUBIT_FORMS, st.floats(0.0, 5.0), st.integers(0, 2**31 - 1))
+    def test_ccg_channels_keep_product_states_separable(self, n, kind, optimal, forms,
+                                                        t, seed):
+        # optimal rates put the channel at its least dephasing
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n, kind, optimal)
+        rho0 = DensityMatrix.from_qubit_states([random_qubit(rng, f) for f in forms[:n]])
+        rho = evolve_exact(rho0, model, t)
+        for size in range(1, n):
+            for part in itertools.combinations(range(n), size):
+                assert negativity(rho, part) <= 1e-10
 
     def test_partition_validation(self):
         rho = DensityMatrix.all_plus(2)
@@ -456,11 +507,11 @@ class TestStructuralProperties:
         assert slope_ccg == pytest.approx(1.0, abs=0.05)
         assert slope_uni == pytest.approx(2.0, abs=0.05)
 
-    def test_analytic_only_model_supports_closed_form_coherences(self):
+    def test_closed_form_coherences_past_the_dense_limit(self):
         # 14 clocks: dense 2^N states are out of reach, the closed-form
         # product-state path is not
         arr = build_lattice(1, 1e-6, [14], 1e15)
-        model = build_model(arr, analytic_only=True).nondimensionalized()
+        model = build_model(arr).nondimensionalized()
         times = np.linspace(0.0, 2.0, 7)
         trace = product_state_coherence(
             model, ["plus"] + ["zero"] * 13, times)
@@ -468,8 +519,24 @@ class TestStructuralProperties:
         assert np.all(np.isfinite(trace.magnitudes))
         # eigenstate environment and zero dephasing: clock 0 keeps |c| = 1/2
         assert trace.magnitudes[:, 0] == pytest.approx([0.5] * 7, abs=1e-12)
-        with pytest.raises(ValueError, match="closed-form"):
+        with pytest.raises(ValueError, match="limited to 12 clocks"):
             evolve_exact(DensityMatrix.all_plus(2), model, 1.0)
+
+    def test_lattice_decay_matches_the_rates_closed_form(self):
+        # lindblad against rates on 10^3 clocks: with every other clock in
+        # |0> the phase kicks have unit modulus, so the coherence of the
+        # clock next to the centre decays at exactly 4 M_cc
+        arr = build_lattice(3, 1e-6, [10, 10, 10], 1e15)
+        g = pair_rate_matrix(arr)
+        report = min_dephasing_pairwise_A(g)
+        model = build_model(arr, report.optimal_rates).nondimensionalized()
+        c = int(np.argmin(np.linalg.norm(arr.positions, axis=1)))
+        want = 4.0 * report.per_clock[c] / g.g.max()
+        states = ["zero"] * len(arr)
+        states[c] = "plus"
+        times = np.linspace(0.0, 2.0 / want, 11)
+        trace = product_state_coherence(model, states, times)
+        assert float(coherence_decay_rate(trace, clock=c)) == pytest.approx(want, rel=1e-9)
 
     def test_nondimensionalization_records_unit_map(self):
         arr = ClockArray([1e15, 1e15], [[0, 0, 0], [3e-7, 0, 0]])
