@@ -217,11 +217,15 @@ class EvolutionModel:
             raise ValueError("coupling diagonal must be zero")
         if m.shape != (n, n):
             raise ValueError("dephasing matrix must be N x N")
-        if np.any(np.diag(m) < 0):
+        diag = np.diag(m)
+        if np.any(diag < 0):
             raise ValueError("per-clock dephasing rates must be non-negative")
         if not np.array_equal(m, m.T):
             raise ValueError("dephasing matrix must be symmetric")
-        if n and np.min(np.linalg.eigvalsh(m)) < -1e-12 * np.max(np.abs(m)):
+        # the eigenvalues of a diagonal M (every pairwise model's) are its diagonal
+        eigs = diag if np.count_nonzero(m) == np.count_nonzero(diag) \
+            else np.linalg.eigvalsh(m)
+        if n and np.min(eigs) < -1e-12 * np.max(np.abs(m)):
             raise ValueError("dephasing matrix must be positive semidefinite")
         if self.kind == "unitary" and np.any(m != 0):
             raise ValueError("unitary kind must have zero dephasing")
@@ -477,9 +481,8 @@ class CoherenceTrace:
     def csv_rows(self) -> list[list]:
         n = self.magnitudes.shape[1]
         rows = [["time"] + [f"coherence_{i}" for i in range(n)]]
-        for k, t in enumerate(self.times):
-            rows.append([repr(float(t))] +
-                        [repr(float(x)) for x in self.magnitudes[k]])
+        rows += ([repr(t), *map(repr, row)]
+                 for t, row in zip(self.times.tolist(), self.magnitudes.tolist()))
         return rows
 
 

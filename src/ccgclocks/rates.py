@@ -35,6 +35,13 @@ OBJECTIVE_TOLERANCE = 1e-10
 ITERATION_CAP = 200
 
 
+def _as_lists(fields: dict) -> dict:
+    """`fields` with every array, also in nested dicts, as a nested list."""
+    return {k: v.tolist() if isinstance(v, np.ndarray)
+            else _as_lists(v) if isinstance(v, dict) else v
+            for k, v in fields.items()}
+
+
 @dataclass(frozen=True)
 class MeasurementRates:
     """Free channel parameters: a pairwise matrix or a per-clock vector.
@@ -86,10 +93,14 @@ class MeasurementRates:
             return self.pairwise_gamma.shape[0]
         return len(self.global_gamma)
 
-    def to_json_dict(self) -> dict:
+    def _json_fields(self) -> dict:
+        """to_json_dict() with the rate array as an array."""
         if self.mode == "pairwise":
-            return {"mode": "pairwise", "pairwise_gamma": self.pairwise_gamma.tolist()}
-        return {"mode": "global", "global_gamma": self.global_gamma.tolist()}
+            return {"mode": "pairwise", "pairwise_gamma": self.pairwise_gamma}
+        return {"mode": "global", "global_gamma": self.global_gamma}
+
+    def to_json_dict(self) -> dict:
+        return _as_lists(self._json_fields())
 
 
 @dataclass(frozen=True)
@@ -118,26 +129,29 @@ class DephasingReport:
         """Summed dephasing rate, the quantity the optimizer minimizes."""
         return float(math.fsum(self.per_clock.tolist()))
 
-    def to_json_dict(self) -> dict:
+    def _json_fields(self) -> dict:
+        """to_json_dict() with the rate arrays as arrays."""
         out = {
-            "per_clock_hz": self.per_clock.tolist(),
+            "per_clock_hz": self.per_clock,
             "mode": self.mode,
             "case": self.case,
             "convention": self.convention.value,
             "formula_id": self.formula_id,
         }
         if self.optimal_rates is not None:
-            out["optimal_rates"] = self.optimal_rates.to_json_dict()
+            out["optimal_rates"] = self.optimal_rates._json_fields()
         return out
+
+    def to_json_dict(self) -> dict:
+        return _as_lists(self._json_fields())
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def csv_rows(self) -> list[list]:
         rows = [["clock_index", "rate_hz", "mode", "case", "convention", "formula_id"]]
-        for k, r in enumerate(self.per_clock):
-            rows.append([k, repr(float(r)), self.mode, self.case,
-                         self.convention.value, self.formula_id])
+        rows += ([k, r, self.mode, self.case, self.convention.value, self.formula_id]
+                 for k, r in enumerate(map(repr, self.per_clock.tolist())))
         return rows
 
     def to_csv(self) -> str:
@@ -232,6 +246,11 @@ def min_dephasing_pairwise_B(g: PairRateMatrix) -> DephasingReport:
 
     Per clock: sqrt(N-1)/2 * sqrt(sum_j g_ij^2). The attached rates hold the
     single scalar that minimizes the summed dephasing.
+
+    The per-clock form assumes equivalent sites, every row with the same
+    sum_j g_ij^2. By Cauchy-Schwarz the per-clock rates sum to at most the summed dephasing
+    at the best shared scalar, sqrt(N(N-1) sum_ij g_ij^2)/2, with equality
+    exactly when the row sums are equal.
     """
     n = len(g)
     if n < 2:
@@ -254,7 +273,14 @@ def min_dephasing_pairwise_B(g: PairRateMatrix) -> DephasingReport:
 
 def min_dephasing_global_B(g: PairRateMatrix) -> DephasingReport:
     """Fixed-scalar counterpart of the global channel; same form as the free
-    global minimum per clock."""
+    global minimum per clock.
+
+    The per-clock form assumes equivalent sites, every row with the same
+    sum_j g_ij^2. By Cauchy-Schwarz the per-clock rates sum to at most the
+    summed dephasing at the best shared scalar, sqrt(N sum_ij g_ij^2)/2,
+    with equality exactly when the row sums are equal; the attached rates
+    hold that scalar.
+    """
     n = len(g)
     if n < 2:
         raise ValueError("the fixed-rate minimum is undefined for a single clock")

@@ -5,6 +5,15 @@ A scenario is a JSON document with a `kind`, optional `convention` and
 (unknown keys are rejected) and every emitted file is byte-identical across
 reruns of the same config: floats are written with repr, JSON keys are
 sorted, and CSV rows end with CRLF.
+
+A JSON artifact equals json.dumps(payload, sort_keys=True, indent=2) + "\n"
+byte for byte, where each float array in the payload stands for its nested
+list. The runners hand rate vectors and matrices to the writer as float64
+arrays, and the writer formats each distinct bit pattern once. That gives
+the same bytes, because json spells a float by its shortest round-trip repr,
+a function of the float's bits alone. Rate matrices repeat few values
+(lattice distances, a B-fixed scalar, the two halves of a symmetric matrix),
+so a large one costs about one repr per distinct value.
 """
 
 from __future__ import annotations
@@ -340,14 +349,59 @@ _CONTAINERS = (dict, list, tuple)
 _SCALARS = {int, float, str, bool, type(None)}
 
 
+# an array of fewer cells is written as its list: the C encoder formats so
+# few floats faster than np.unique finds the distinct ones, and a process that
+# writes only small arrays never maps np.unique's kernels (1.7 MB of RSS)
+_UNIQUE_MIN_CELLS = 64
+
+
+def _array_pieces(a: np.ndarray, newline: str):
+    """Pieces of a 1-D or 2-D float64 array written as its nested list.
+
+    json spells a float by its shortest round-trip repr, a function of its
+    bits alone, so each distinct bit pattern is formatted once, by one
+    C-encoder call; comparing bits keeps -0.0 apart from 0.0. Each row is
+    gathered from those strings by a binary search of its bit patterns and
+    yielded on its own, so no N x N index or string array is kept.
+    """
+    if a.size < _UNIQUE_MIN_CELLS:
+        yield from _json_pieces(a.tolist(), newline)
+        return
+    bits = a.view(np.int64)
+    distinct = np.unique(bits)
+    spelled = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
+                       dtype=object)
+
+    def line(row_bits, row_newline):
+        cell = row_newline + "  "
+        return ("[" + cell + ("," + cell).join(spelled[np.searchsorted(distinct, row_bits)])
+                + row_newline + "]")
+
+    if a.ndim == 1:
+        yield line(bits, newline)
+        return
+    inner = newline + "  "
+    separator = "[" + inner
+    for row in bits:
+        yield separator + line(row, inner)
+        separator = "," + inner
+    yield newline + "]"
+
+
 def _json_pieces(value, newline: str):
     """Pieces of json.dumps(value, sort_keys=True) indented by two spaces.
 
     `newline` is "\n" plus the current indentation. The standard library
     writes indented JSON with its pure-Python encoder; here each flat list of
     plain scalars goes to the C encoder in one call instead, with the newline
-    and indentation folded into its item separator.
+    and indentation folded into its item separator, and a 1-D or 2-D float64
+    array is written as its nested list by `_array_pieces`. Any other array
+    is refused as json.dumps refuses it.
     """
+    if (isinstance(value, np.ndarray) and value.dtype == np.float64
+            and value.ndim in (1, 2)):
+        yield from _array_pieces(value, newline)
+        return
     if not isinstance(value, _CONTAINERS):
         yield json.dumps(value)
         return
@@ -431,7 +485,7 @@ def _run_rates(params, convention, stem, fmt):
         out[f"{stem}.csv"] = _csv_bytes(report.csv_rows())
     if fmt in ("json", "both"):
         out[f"{stem}.json"] = _json_bytes(
-            {"meta": _meta(convention), "report": report.to_json_dict()})
+            {"meta": _meta(convention), "report": report._json_fields()})
     return out
 
 
@@ -445,8 +499,8 @@ def _run_optimize(params, convention, stem, fmt):
     if fmt in ("json", "both"):
         out[f"{stem}.json"] = _json_bytes({
             "meta": _meta(convention),
-            "optimal_rates": rates.to_json_dict(),
-            "achieved": report.to_json_dict(),
+            "optimal_rates": rates._json_fields(),
+            "achieved": report._json_fields(),
             "objective": report.objective(),
         })
     return out
@@ -511,7 +565,7 @@ def _run_simulate(params, convention, stem, fmt):
         "meta": _meta(convention),
         "kind": params["kind"],
         "n_clocks": model.n_clocks,
-        "per_clock_dephasing": model.per_clock_dephasing.tolist(),
+        "per_clock_dephasing": model.per_clock_dephasing,
         "time_unit_s": model.time_unit,
     }
     if params.get("fit_decay", True):

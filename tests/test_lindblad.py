@@ -181,6 +181,43 @@ class TestBuildModel:
         # a rank-one (singular) M is allowed
         EvolutionModel(dephasing=np.ones((2, 2)), **common)
 
+    def test_diagonal_dephasing_needs_no_eigensolver(self, monkeypatch):
+        # the eigenvalues of a diagonal M are its diagonal: its sign check
+        # decides, with the message a negative rate always raised
+        def refuse(m):
+            raise AssertionError("eigvalsh called on a diagonal M")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        common = dict(kind="ccg-pairwise", omegas=np.zeros(3), coupling=np.zeros((3, 3)))
+        EvolutionModel(dephasing=np.diag([0.5, -0.0, 2.0]), **common)
+        with pytest.raises(ValueError, match="per-clock dephasing rates must be non-negative"):
+            EvolutionModel(dephasing=np.diag([0.5, -1e-300, 2.0]), **common)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, -1e-300, 0.5, 2.0, -1.0]),
+                    min_size=3, max_size=3),
+           st.lists(st.sampled_from([0.0, 0.0, -0.0, 1e-300, 0.5, -2.0]),
+                    min_size=3, max_size=3))
+    def test_dephasing_checks_match_the_eigensolver(self, diag, upper):
+        m = np.diag(diag)
+        m[np.triu_indices(3, 1)] = upper
+        m = np.triu(m) + np.triu(m, 1).T
+
+        def reference(m):
+            if np.any(np.diag(m) < 0):
+                return "per-clock dephasing rates must be non-negative"
+            if np.min(np.linalg.eigvalsh(m)) < -1e-12 * np.max(np.abs(m)):
+                return "dephasing matrix must be positive semidefinite"
+            return None
+
+        try:
+            EvolutionModel(kind="ccg-global", omegas=np.zeros(3),
+                           coupling=np.zeros((3, 3)), dephasing=m)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == reference(m)
+
     def test_unitary_kind_must_have_zero_dephasing(self):
         with pytest.raises(ValueError):
             EvolutionModel(kind="unitary", omegas=np.zeros(2),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.spatial.transform import Rotation
 
 from ccgclocks.constants import CONSTANTS
 from ccgclocks.geometry import ClockArray, PairRateMatrix, build_lattice, pair_rate_matrix
@@ -119,6 +120,15 @@ class TestMeasurementRates:
         d = MeasurementRates("pairwise", pairwise_gamma=gam).to_json_dict()
         assert d["pairwise_gamma"] == [[0.0, 0.1], [2.5, 0.0]]
         assert all(type(x) is float for row in d["pairwise_gamma"] for x in row)
+
+    def test_report_serializes_as_plain_lists(self):
+        g = PairRateMatrix.from_matrix([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        d = min_dephasing_pairwise_B(g).to_json_dict()
+        assert type(d["per_clock_hz"]) is list
+        assert type(d["optimal_rates"]["pairwise_gamma"]) is list
+        assert all(type(x) is float for x in d["per_clock_hz"])
+        assert all(type(x) is float for row in d["optimal_rates"]["pairwise_gamma"]
+                   for x in row)
 
     def test_asymmetric_pairwise_allowed(self):
         gam = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -345,7 +355,45 @@ def clouds(draw):
     return pair_rate_matrix(ClockArray(np.array(omegas), 1e-7 * np.array(sites)))
 
 
+_EQUIVALENT_SITES = [
+    [[0, 0, 0], [1, 0, 0]],
+    [[1, 0, 0], [-0.5, math.sqrt(3) / 2, 0], [-0.5, -math.sqrt(3) / 2, 0]],
+    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+]
+
+
+@st.composite
+def equivalent_sites(draw):
+    """Two clocks, an equilateral triangle or a regular tetrahedron, scaled,
+    rotated and moved at random, every clock at one frequency: every row of
+    the pair matrix has the same sum of squares."""
+    sites = np.array(draw(st.sampled_from(_EQUIVALENT_SITES)), dtype=float)
+    angles = draw(st.lists(st.floats(0, 2 * math.pi), min_size=3, max_size=3))
+    rotation = Rotation.from_euler("zyx", angles).as_matrix()
+    scale = draw(st.floats(1e-7, 1e-5))
+    offset = np.array(draw(st.lists(st.floats(-1e-5, 1e-5), min_size=3, max_size=3)))
+    omega = draw(st.floats(1e14, 1e16))
+    return pair_rate_matrix(ClockArray(np.full(len(sites), omega),
+                                       offset + scale * sites @ rotation.T))
+
+
 class TestOptimizerProperties:
+    # the B per-clock forms sum to at most the best shared scalar's objective
+    # (Cauchy-Schwarz), with equality on equivalent sites
+    @settings(max_examples=100, deadline=None)
+    @given(mode=st.sampled_from(["fixed-scalar", "fixed-scalar-global"]), g=clouds())
+    def test_B_per_clock_sum_is_at_most_the_shared_optimum(self, mode, g):
+        _, rep = optimize_rates(g, mode)
+        assert _CLOSED_FORMS[mode](g).objective() <= rep.objective() * (1 + 1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(mode=st.sampled_from(["fixed-scalar", "fixed-scalar-global"]),
+           g=equivalent_sites())
+    def test_B_per_clock_sum_is_the_shared_optimum_on_equivalent_sites(self, mode, g):
+        _, rep = optimize_rates(g, mode)
+        assert _CLOSED_FORMS[mode](g).objective() == pytest.approx(rep.objective(),
+                                                                   rel=1e-9)
+
     @settings(max_examples=200, deadline=None)
     @given(mode=st.sampled_from(sorted(_CLOSED_FORMS)), g=clouds())
     def test_objective_meets_closed_form(self, mode, g):

@@ -23,7 +23,9 @@ from ccgclocks.scenarios import (
 
 
 def reference_bytes(value) -> bytes:
-    return (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
+    # the writer takes float arrays where json.dumps takes their nested lists
+    return (json.dumps(value, sort_keys=True, indent=2,
+                       default=lambda a: a.tolist()) + "\n").encode()
 
 
 # -- writer ----------------------------------------------------------------------
@@ -64,6 +66,51 @@ def test_writer_matches_indented_dumps(value):
 def test_writer_non_string_keys_match_dumps(keys):
     value = {k: [k] for k in keys}
     assert _json_bytes(value) == reference_bytes(value)
+
+
+# ±0.0, subnormals and the non-finite values json spells by name
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def float_arrays(draw):
+    """A 1-D or 2-D float64 array filled from a pool of one to four values,
+    with sizes on both sides of the writer's small-array cutoff."""
+    pool = np.array(draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+                                  min_size=1, max_size=4)))
+    shape = draw(st.one_of(st.tuples(st.integers(0, 150)),
+                           st.tuples(st.integers(0, 12), st.integers(0, 12))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = pool[rng.integers(len(pool), size=shape)]
+    return a.T if draw(st.booleans()) else a  # also a non-contiguous view
+
+
+_CUTOFF = scenarios._UNIQUE_MIN_CELLS
+_CORNERS = np.array([[0.0, -0.0, 5e-324, 2.5e-310], [math.nan, math.inf, -math.inf, 1.5]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=3),
+                       st.one_of(float_arrays(),
+                                 st.dictionaries(st.text(max_size=3), float_arrays(),
+                                                 max_size=3)),
+                       max_size=4))
+@example({"empty": np.zeros(0), "rows": np.zeros((3, 0)), "cols": np.zeros((0, 3)),
+          "one": np.full((1, 1), -0.0)})
+@example({"below": np.resize(_CORNERS, _CUTOFF - 1), "at": np.resize(_CORNERS, _CUTOFF),
+          "square": np.resize(_CORNERS, (12, 12)), "row": np.resize(_CORNERS, (1, 100)),
+          "column": np.resize(_CORNERS, (100, 1))})
+def test_writer_arrays_match_dumps_of_their_lists(value):
+    assert _json_bytes(value) == reference_bytes(value)
+
+
+@pytest.mark.parametrize("array", [np.arange(3), np.zeros((2, 2, 2)), np.array(1.5),
+                                   np.zeros(2, np.float32)])
+def test_writer_refuses_other_arrays_as_dumps_does(array):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps({"a": array})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _json_bytes({"a": array})
 
 
 def _clock(x, y=0.0):
@@ -112,11 +159,23 @@ EVERY_KIND = [
 ]
 
 
+# 40-clock chains: the pair matrix repeats 39 distances, and the B-fixed
+# optimal rates are one scalar off a zero diagonal
+CHAINS = [
+    {"kind": "rates",
+     "parameters": {"geometry": {"lattice": {"dimension": 1, "lattice_constant": 1e-6,
+                                             "counts": [40], "quoted_frequency": 1e15}},
+                    "mode": "pairwise", "case": case},
+     "output": {"stem": stem}}
+    for case, stem in (("A-free", "pwA_1d40"), ("B-fixed", "pwB_1d40"))
+]
+
+
 def test_every_kind_is_covered():
     assert {c["kind"] for c in EVERY_KIND} == set(_PARAMETER_SCHEMAS)
 
 
-@pytest.mark.parametrize("config", EVERY_KIND,
+@pytest.mark.parametrize("config", EVERY_KIND + CHAINS,
                          ids=lambda c: c["kind"] + "-" + json.dumps(c)[-12:])
 def test_scenario_artifacts_match_indented_dumps(config, tmp_path, monkeypatch):
     written = []
