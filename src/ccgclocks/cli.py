@@ -14,11 +14,10 @@ A global --convention {direct,2pi,both} overrides the config. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
-
-import jsonschema
 
 from .scenarios import run_scenario
 
@@ -37,6 +36,7 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache  # each add_argument asks the terminal for its size
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccgclocks",
@@ -54,6 +54,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, required=True,
                        help="directory for the output artifacts")
     return parser
+
+
+def _validation_error() -> type:
+    """jsonschema's error class, imported only once a run has raised."""
+    import jsonschema
+
+    return jsonschema.ValidationError
 
 
 def main(argv=None) -> int:
@@ -79,13 +86,13 @@ def main(argv=None) -> int:
     convention = {"2pi": "times-two-pi"}.get(args.convention, args.convention)
     try:
         written = run_scenario(config, args.out, convention_override=convention)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        print(f"error: invalid config at {path}: {exc.message}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (ValueError, RuntimeError) as exc:
         print(f"error: computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
+    except _validation_error() as exc:  # evaluated only when a run raises
+        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        print(f"error: invalid config at {path}: {exc.message}", file=sys.stderr)
+        return EXIT_VALIDATION
     for path in written:
         print(path)
     return EXIT_OK

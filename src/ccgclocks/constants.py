@@ -44,13 +44,13 @@ class PhysicalConstants:
     c: float      # speed of light, m s^-1
 
     def __post_init__(self):
-        if not (self.G > 0 and self.hbar > 0 and self.c > 0):
+        if not all(0 < x < math.inf for x in (self.G, self.hbar, self.c)):
             raise ValueError("physical constants must be strictly positive")
 
     def to_json(self) -> str:
         # repr round-trips doubles bit-exactly
         return json.dumps({"G": self.G, "hbar": self.hbar, "c": self.c},
-                          sort_keys=True)
+                          sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "PhysicalConstants":

@@ -188,7 +188,7 @@ class ClockArray:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "ClockArray":

@@ -171,7 +171,7 @@ class DensityMatrix:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
 def _z_table(n: int) -> np.ndarray:

@@ -146,7 +146,7 @@ class DephasingReport:
         return _as_lists(self._json_fields())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
     def csv_rows(self) -> list[list]:
         rows = [["clock_index", "rate_hz", "mode", "case", "convention", "formula_id"]]

@@ -6,6 +6,11 @@ A scenario is a JSON document with a `kind`, optional `convention` and
 reruns of the same config: floats are written with repr, JSON keys are
 sorted, and CSV rows end with CRLF.
 
+A checker written here decides, as Draft 2020-12 would, that a config is
+valid; jsonschema is imported only to explain a config the checker refuses,
+so every error message and path is jsonschema's. A runner imports the
+modules its kind uses when it runs.
+
 A JSON artifact equals json.dumps(payload, sort_keys=True, indent=2) + "\n"
 byte for byte, where each float array in the payload stands for its nested
 list. The runners hand rate vectors and matrices to the writer as float64
@@ -19,27 +24,18 @@ so a large one costs about one repr per distinct value.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
 import math
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
 from .constants import FrequencyConvention, apply_convention
-from .continuum import fit_scaling, scaling_rate_sweep
 from .geometry import ClockArray, ClockSpec, build_lattice, pair_rate_matrix
-from .lindblad import (
-    EXPORT_CLOCK_LIMIT,
-    DensityMatrix,
-    coherence_decay_rate,
-    dimensionless_model,
-    evolve_exact,
-    product_state_coherence,
-)
 from .rates import (
     MeasurementRates,
     dephasing_given_rates,
@@ -49,14 +45,6 @@ from .rates import (
     min_dephasing_pairwise_B,
     optimize_rates,
 )
-from .redshift import (
-    CompositeBody,
-    ExplicitAtoms,
-    composite_dephasing,
-    shell_dephasing,
-    simple_particle_dephasing,
-)
-from .report import paper_report
 
 _POSITION = {"type": "array", "minItems": 3, "maxItems": 3,
              "items": {"type": "number"}}
@@ -236,7 +224,6 @@ SCENARIO_SCHEMA = {
 
 _NUMBER = {"type": "number"}
 _PLAIN_NUMBERS = {int, float}
-_draft_items = jsonschema.Draft202012Validator.VALIDATORS["items"]
 
 
 def _offenders(items, instance):
@@ -261,56 +248,151 @@ def _offenders(items, instance):
                     and set(map(type, row)) <= _PLAIN_NUMBERS))
 
 
-def _items(validator, items, instance, schema):
-    """Draft 2020-12 `items` that hands jsonschema only the elements that
-    `_offenders` names, in order and with their index as path, as
-    jsonschema's own keyword does; so errors are the same."""
-    offenders = None
-    if type(instance) is list and "prefixItems" not in schema:
-        offenders = _offenders(items, instance)
-    if offenders is None:
-        yield from _draft_items(validator, items, instance, schema)
-        return
-    for k in offenders:
-        yield from validator.descend(instance[k], items, path=k)
+# -- acceptance: decided here, without jsonschema ---------------------------------
+
+class _Unsure(Exception):
+    """A value of a type JSON does not parse to: jsonschema decides."""
 
 
-_Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator,
-                                          {"items": _items})
-# built once: the schemas are checked against the meta-schema by the tests
-_SCENARIO_VALIDATOR = _Validator(SCENARIO_SCHEMA)
-_PARAMETER_VALIDATORS = {kind: _Validator(schema)
-                         for kind, schema in _PARAMETER_SCHEMAS.items()}
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               type(None): "null", int: "integer", float: "number"}
+
+
+def _equal(x, value) -> bool:
+    """enum/const equality: True is not 1, but 1.0 is."""
+    return x == value and (type(x) is bool) == (type(value) is bool)
+
+
+def _valid(x, schema) -> bool:
+    """Whether `x` is valid against `schema` as Draft 2020-12 decides, for
+    the keywords the scenario schemas use; any other keyword is a KeyError.
+
+    Raises _Unsure for a value that is not a plain dict, list, str, int,
+    float, bool or None, so that no `oneOf` count rests on a guess.
+    """
+    if isinstance(schema, bool):
+        return schema
+    t = type(x)
+    if t not in _JSON_TYPES:
+        raise _Unsure
+    number, size = t in _PLAIN_NUMBERS, len(x) if t in (list, str) else 0
+    for key, value in schema.items():
+        if key == "type":
+            kind = _JSON_TYPES[t]
+            ok = (kind == value or (kind, value) == ("integer", "number")
+                  or ((kind, value) == ("number", "integer") and x.is_integer()))
+        elif key in ("enum", "const"):
+            ok = any(_equal(x, v) for v in (value if key == "enum" else [value]))
+        elif key == "oneOf":
+            ok = sum(_valid(x, branch) for branch in value) == 1
+        elif key in ("minimum", "exclusiveMinimum"):  # NaN passes both
+            ok = not number or not (x < value if key == "minimum" else x <= value)
+        elif key in ("minItems", "maxItems", "minLength"):
+            ok = t is not (str if key == "minLength" else list) or (
+                size <= value if key == "maxItems" else size >= value)
+        elif key == "items":
+            offenders = () if t is not list else _offenders(value, x)
+            ok = all(_valid(x[k], value)
+                     for k in (range(size) if offenders is None else offenders))
+        elif key == "required":
+            ok = t is not dict or all(k in x for k in value)
+        elif key == "properties":
+            ok = t is not dict or all(_valid(x[k], s) for k, s in value.items() if k in x)
+        elif key == "additionalProperties":
+            extras = x.keys() - schema.get("properties", {}) if t is dict else ()
+            ok = all(_valid(x[k], value) for k in extras)
+        elif key == "$schema":
+            ok = True
+        else:
+            raise KeyError(f"schema keyword {key!r} is not checked here")
+        if not ok:
+            return False
+    return True
+
+
+def _rule_error(kind: str, params: dict):
+    """(message, path) of the first rule a schema cannot state, or None."""
+    if kind == "rates":
+        case = params["case"]
+        if case == "given-rates" and "gamma" not in params:
+            return "case 'given-rates' requires a gamma block", ["parameters", "gamma"]
+        if case != "given-rates" and "gamma" in params:
+            return f"case {case!r} takes no gamma block", ["parameters", "gamma"]
+    if kind == "scaling-sweep" and "sides" in params:
+        for k, side in enumerate(params["sides"]):
+            if side % 2 == 0:
+                return f"sweep sides must be odd, got {side}", ["parameters", "sides", k]
+    return None
+
+
+def _accepts(config) -> bool:
+    """Whether validate_scenario accepts `config`, decided without jsonschema."""
+    try:
+        if not _valid(config, SCENARIO_SCHEMA):
+            return False
+        kind, params = config["kind"], config.get("parameters", {})
+        return _valid(params, _PARAMETER_SCHEMAS[kind]) and _rule_error(kind, params) is None
+    except _Unsure:
+        return False
+
+
+# -- rejection: explained by jsonschema ---------------------------------------------
+
+@functools.cache
+def _validator_class():
+    """Draft 2020-12 with a one-pass `items`; jsonschema is imported here."""
+    import jsonschema
+
+    draft_items = jsonschema.Draft202012Validator.VALIDATORS["items"]
+
+    def items(validator, items, instance, schema):
+        # hands jsonschema only the elements that `_offenders` names, in order
+        # and with their index as path, as its own keyword does; so errors
+        # are the same
+        offenders = None
+        if type(instance) is list and "prefixItems" not in schema:
+            offenders = _offenders(items, instance)
+        if offenders is None:
+            yield from draft_items(validator, items, instance, schema)
+            return
+        for k in offenders:
+            yield from validator.descend(instance[k], items, path=k)
+
+    return jsonschema.validators.extend(jsonschema.Draft202012Validator,
+                                        {"items": items})
+
+
+@functools.cache
+def _validator(kind: str | None = None):
+    """Validator of the top level (kind None) or of a kind's parameters;
+    the schemas are checked against the meta-schema by the tests."""
+    return _validator_class()(SCENARIO_SCHEMA if kind is None
+                              else _PARAMETER_SCHEMAS[kind])
 
 
 def validate_scenario(config: dict) -> None:
-    """Validate a scenario config; raises jsonschema.ValidationError."""
-    error = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(config))
+    """Validate a scenario config; raises jsonschema.ValidationError.
+
+    A config is accepted without importing jsonschema when `_accepts` says
+    so; any other is walked by jsonschema, whose error is raised.
+    """
+    if _accepts(config):
+        return
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
     if error is not None:
         raise error
     kind = config["kind"]
     params = config.get("parameters", {})
-    errors = list(_PARAMETER_VALIDATORS[kind].iter_errors(params))
+    errors = list(_validator(kind).iter_errors(params))
     if errors:  # the first by str, which pretty-prints the instance: only if several
         error = min(errors, key=str) if len(errors) > 1 else errors[0]
         error.path.appendleft("parameters")
         raise error
-    if kind == "rates":
-        case = params["case"]
-        if case == "given-rates" and "gamma" not in params:
-            raise jsonschema.ValidationError(
-                "case 'given-rates' requires a gamma block",
-                path=["parameters", "gamma"])
-        if case != "given-rates" and "gamma" in params:
-            raise jsonschema.ValidationError(
-                f"case {case!r} takes no gamma block",
-                path=["parameters", "gamma"])
-    if kind == "scaling-sweep" and "sides" in params:
-        for k, side in enumerate(params["sides"]):
-            if side % 2 == 0:
-                raise jsonschema.ValidationError(
-                    f"sweep sides must be odd, got {side}",
-                    path=["parameters", "sides", k])
+    rule = _rule_error(kind, params)
+    if rule is not None:
+        raise jsonschema.ValidationError(rule[0], path=rule[1])
 
 
 # -- builders ------------------------------------------------------------------
@@ -506,7 +588,11 @@ def _run_optimize(params, convention, stem, fmt):
     return out
 
 
+# the runners below import the modules only their kind uses, when they run
+
 def _run_scaling(params, convention, stem, fmt):
+    from .continuum import fit_scaling, scaling_rate_sweep
+
     omega = float(apply_convention(params.get("quoted_frequency", 1e15),
                                    convention))
     dim = params["dimension"]
@@ -545,6 +631,9 @@ def _run_scaling(params, convention, stem, fmt):
 
 
 def _run_simulate(params, convention, stem, fmt):
+    from .lindblad import (EXPORT_CLOCK_LIMIT, DensityMatrix, coherence_decay_rate,
+                           dimensionless_model, evolve_exact, product_state_coherence)
+
     coupling = params.get("coupling_matrix", [[0.0, 1.0], [1.0, 0.0]])
     gamma = params.get("gamma", "optimal")
     rates = gamma if gamma == "optimal" else _build_gamma(gamma)
@@ -592,6 +681,9 @@ def _run_simulate(params, convention, stem, fmt):
 
 
 def _run_redshift(params, convention, stem, fmt):
+    from .redshift import (CompositeBody, ExplicitAtoms, composite_dephasing,
+                           shell_dephasing, simple_particle_dephasing)
+
     omega = apply_convention(params["quoted_frequency"], convention)
     body = params["body"]
     gz = params["gamma_clock"]
@@ -612,6 +704,8 @@ def _run_redshift(params, convention, stem, fmt):
 
 
 def _run_paper_report(params, convention, stem, fmt):
+    from .report import paper_report
+
     report = paper_report()
     out = {}
     if fmt in ("csv", "both"):

@@ -1,9 +1,15 @@
+import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ccgclocks import cli
 from ccgclocks.cli import main
 from ccgclocks.report import atoms_for_target_rate, array_minimum_rate, paper_report
 from ccgclocks.scenarios import emit_plot_data, run_scenario, validate_scenario
@@ -299,6 +305,81 @@ class TestCliEntryPoint:
         text = (tmp_path / "o" / "rates.csv").read_text()
         assert "times-two-pi" in text
 
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        cfg = write_config(tmp_path, RATES_CONFIG)
+        for _ in range(2):
+            assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["rates", "--help"], 0), ([], 2), (["rates"], 2),
+        (["nonsense"], 2), (["--convention", "3pi", "rates"], 2),
+    ])
+    def test_usage_and_help_match_a_fresh_parser(self, capsys, argv, code):
+        outputs = []
+        for parse in (main, cli._build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as info:
+                parse(argv)
+            assert info.value.code == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert (outputs[0].out + outputs[0].err).startswith("usage: ccgclocks")
+
+
+_COLD_RUN = """
+import json, sys
+from ccgclocks import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _cold(args, tmp_path):
+    """Run the CLI in a fresh interpreter that finds the package under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestColdStart:
+    def test_two_clock_rates_loads_only_what_it_runs(self, tmp_path):
+        cfg = write_config(tmp_path, RATES_CONFIG)
+        proc = _cold(["-c", _COLD_RUN, "rates", "--config", str(cfg),
+                      "--out", str(tmp_path / "o")], tmp_path)
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        assert {"ccgclocks.rates", "ccgclocks.scenarios"} <= set(modules)
+        loaded = set(modules) & {"jsonschema", "ccgclocks.lindblad", "ccgclocks.continuum",
+                                 "ccgclocks.redshift", "ccgclocks.report"}
+        assert not loaded
+
+    def test_invalid_config_keeps_its_exit_code_and_message(self, tmp_path):
+        bad = json.loads(json.dumps(RATES_CONFIG))
+        bad["parameters"]["geometry"]["clocks"][1]["position"][2] = True
+        cfg = write_config(tmp_path, bad)
+        proc = _cold(["-m", "ccgclocks.cli", "rates", "--config", str(cfg),
+                      "--out", str(tmp_path / "o")], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: invalid config at parameters/geometry/clocks/1/"
+                               "position/2: True is not of type 'number'\n")
+        assert proc.stdout == ""
+
+    def test_every_public_name_resolves_from_its_module(self):
+        import ccgclocks
+
+        assert set(ccgclocks.__all__) <= set(dir(ccgclocks))
+        for name, module in ccgclocks._MODULE_OF.items():
+            assert getattr(ccgclocks, name) is getattr(
+                importlib.import_module(f"ccgclocks.{module}"), name)
+        for module in ccgclocks._EXPORTS:
+            assert getattr(ccgclocks, module) is importlib.import_module(f"ccgclocks.{module}")
+        with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
+            ccgclocks.nonsense
+
 
 def chain_config(n, export=False):
     coupling = [[0.0 if i == j else 1.0 / abs(i - j) for j in range(n)]
@@ -312,12 +393,12 @@ def chain_config(n, export=False):
 class TestSimulateAtArrayScale:
     @pytest.fixture
     def no_dense_work(self, monkeypatch):
-        from ccgclocks import lindblad, scenarios
+        from ccgclocks import lindblad
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense 2^N work in the simulate scenario")
 
-        monkeypatch.setattr(scenarios, "evolve_exact", refuse)
+        monkeypatch.setattr(lindblad, "evolve_exact", refuse)
         monkeypatch.setattr(lindblad, "simulate_coherence", refuse)
         monkeypatch.setattr(lindblad.DensityMatrix, "from_qubit_states", refuse)
 

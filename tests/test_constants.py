@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -32,6 +33,46 @@ def test_constants_round_trip_bit_exact():
 def test_constants_reject_nonpositive():
     with pytest.raises(ValueError):
         PhysicalConstants(G=0.0, hbar=1e-34, c=3e8)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+@pytest.mark.parametrize("field", ["G", "hbar", "c"])
+def test_constants_reject_non_finite(field, bad):
+    values = {"G": 1.0, "hbar": 1.0, "c": 1.0, field: bad}
+    with pytest.raises(ValueError, match="strictly positive"):
+        PhysicalConstants(**values)
+    with pytest.raises(ValueError, match="strictly positive"):
+        PhysicalConstants.from_json(json.dumps(values))
+
+
+def _strict_json_cases():
+    from ccgclocks.geometry import build_lattice, pair_rate_matrix
+    from ccgclocks.lindblad import DensityMatrix
+    from ccgclocks.rates import min_dephasing_pairwise_A
+    from ccgclocks.redshift import simple_particle_dephasing
+
+    chain = build_lattice(1, 1e-6, [3], 1e15)
+    return [chain, DensityMatrix.all_plus(1),
+            min_dephasing_pairwise_A(pair_rate_matrix(chain)),
+            simple_particle_dephasing(1.0, 1.0, 1e15, 1.0, 0.3)]
+
+
+@pytest.mark.parametrize("obj", _strict_json_cases(), ids=lambda o: type(o).__name__)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_every_to_json_writes_strict_json(obj, bad, monkeypatch):
+    json.loads(obj.to_json(), parse_constant=pytest.fail)
+    monkeypatch.setattr(type(obj), "to_json_dict", lambda self: {"value": bad})
+    with pytest.raises(ValueError, match="JSON compliant"):
+        obj.to_json()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_constants_to_json_writes_strict_json(bad):
+    json.loads(CONSTANTS.to_json(), parse_constant=pytest.fail)
+    constants = PhysicalConstants(1.0, 1.0, 1.0)
+    object.__setattr__(constants, "G", bad)  # bypass the check to reach to_json
+    with pytest.raises(ValueError, match="JSON compliant"):
+        constants.to_json()
 
 
 def test_apply_convention_direct_identity():

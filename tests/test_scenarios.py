@@ -292,7 +292,7 @@ def test_row_items_match_jsonschema(rows, bounds, cell_type):
     # only number rows with length bounds take the one-pass path
     schema = {"type": "array",
               "items": {"type": "array", "items": {"type": cell_type}, **bounds}}
-    got = sorted(map(str, scenarios._Validator(schema).iter_errors(rows)))
+    got = sorted(map(str, scenarios._validator_class()(schema).iter_errors(rows)))
     want = sorted(map(str, jsonschema.Draft202012Validator(schema).iter_errors(rows)))
     assert got == want
 
@@ -305,15 +305,16 @@ def test_row_items_match_jsonschema(rows, bounds, cell_type):
 def test_bad_number_list_checks_only_its_offenders(monkeypatch, items, good, bad):
     instance = [good] * 1000
     instance[500] = instance[900] = bad
-    descend, seen = scenarios._Validator.descend, []
+    validator_class = scenarios._validator_class()
+    descend, seen = validator_class.descend, []
 
     def spy(self, *args, **kwargs):
         seen.append(kwargs.get("path"))
         return descend(self, *args, **kwargs)
 
-    monkeypatch.setattr(scenarios._Validator, "descend", spy)
+    monkeypatch.setattr(validator_class, "descend", spy)
     schema = {"type": "array", "items": items}
-    got = [str(e) for e in scenarios._Validator(schema).iter_errors(instance)]
+    got = [str(e) for e in validator_class(schema).iter_errors(instance)]
     assert seen == [500, 900]
     assert got == [str(e) for e in
                    jsonschema.Draft202012Validator(schema).iter_errors(instance)]
@@ -334,3 +335,139 @@ def test_top_level_error_matches_jsonschema_validate(config):
         validate_scenario(config)
     assert str(got.value) == str(expected.value)
     assert list(got.value.path) == list(expected.value.path)
+
+
+# -- acceptance without jsonschema ---------------------------------------------------
+
+def reference_accepts(config) -> bool:
+    """Draft 2020-12 on the top level and the kind's parameters, then the
+    two rules the schemas cannot state."""
+    if not jsonschema.Draft202012Validator(SCENARIO_SCHEMA).is_valid(config):
+        return False
+    kind, params = config["kind"], config.get("parameters", {})
+    if not jsonschema.Draft202012Validator(_PARAMETER_SCHEMAS[kind]).is_valid(params):
+        return False
+    if kind == "rates":
+        return (params["case"] == "given-rates") == ("gamma" in params)
+    return kind != "scaling-sweep" or all(side % 2 for side in params.get("sides", []))
+
+
+def is_plain(value) -> bool:
+    if type(value) is dict:
+        return all(map(is_plain, value.values()))
+    if type(value) is list:
+        return all(map(is_plain, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
+_LATTICE = {"dimension": 3, "lattice_constant": 1e-6, "counts": [2, 2, 1],
+            "quoted_frequency": 1e15}
+_PAIRWISE = [[0.0, 1e-40, 2e-40], [1e-40, 0.0, 3e-40], [2e-40, 3e-40, 0.0]]
+# valid configs that between them use every keyword and optional key
+VALID = EVERY_KIND + [
+    {"kind": "rates", "output": {"stem": "r", "format": "both"},
+     "parameters": {"geometry": {"clocks": [dict(_clock(0.0), rest_mass=1e-25),
+                                            _clock(1e-6)]},
+                    "mode": "global", "case": "given-rates",
+                    "gamma": {"global": [1e-40, 2e-40]}}},
+    {"kind": "optimize", "parameters": {"geometry": {"lattice": _LATTICE},
+                                        "mode": "fixed-scalar"}},
+    {"kind": "scaling-sweep", "convention": "2pi",
+     "parameters": {"dimension": 1, "mode": "global", "case": "A-free",
+                    "sides": [3, 5, 7, 9], "lattice_constant": 1e-6,
+                    "quoted_frequency": 4e14}},
+    {"kind": "simulate",
+     "parameters": {"kind": "ccg-pairwise", "coupling_matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                    "omegas": [1.0, 2.0, 3.0], "gamma": {"pairwise": _PAIRWISE},
+                    "initial_state": ["plus", "zero", [[1, 0], [0, 0]]],
+                    "times": {"start": 0.5, "stop": 2.0, "num": 4},
+                    "fit_decay": False, "fit_clock": 2}},
+    {"kind": "simulate",
+     "parameters": {"kind": "ccg-global", "gamma": "optimal", "initial_state": ["plus", "one"],
+                    "times": {"stop": 1.0, "num": 3}, "fit_clock": 1}},
+]
+
+# a key and value to add beside each key of a oneOf, so that both branches match
+_PARTNERS = {"clocks": ("lattice", _LATTICE), "lattice": ("clocks", _CLOCKS["clocks"]),
+             "pairwise": ("global", [1e-40, 1e-40]), "global": ("pairwise", _PAIRWISE)}
+_ODD_VALUES = [True, False, 0, 1, 2, 3, 3.0, 3.5, -1.0, 0.0, -0.0, math.nan, math.inf,
+               -math.inf, 2**70, None, "", "plus", "optimal", "shell", [], {}, [1.0, 2.0]]
+_KEYS = sorted({k for c in VALID for k in json.dumps(c).split('"')[1::2]} | {"surprise"})
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if type(value) is dict else \
+        enumerate(value) if type(value) is list else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one mutation at one node."""
+    config = json.loads(json.dumps(draw(st.sampled_from(VALID))))
+    path = draw(st.sampled_from(list(_paths(config))))
+    parent, key = None, None
+    node = config
+    for step in path:
+        parent, key, node = node, step, node[step]
+    mutation = draw(st.sampled_from(["replace", "add", "drop", "partner", "resize",
+                                     "numpy", "tuple"]))
+    if mutation == "replace" and parent is not None:
+        parent[key] = draw(st.sampled_from(_ODD_VALUES))
+    elif mutation == "add" and type(node) is dict:
+        node[draw(st.sampled_from(_KEYS))] = draw(st.sampled_from(_ODD_VALUES + [_LATTICE]))
+    elif mutation == "drop" and type(node) is dict and node:
+        del node[draw(st.sampled_from(sorted(node)))]
+    elif mutation == "partner" and type(node) is dict and node.keys() & _PARTNERS.keys():
+        other, value = _PARTNERS[draw(st.sampled_from(sorted(node.keys() & _PARTNERS.keys())))]
+        node[other] = value
+    elif mutation == "resize" and type(node) is list and node:
+        node.append(node[-1]) if draw(st.booleans()) else node.pop()
+    elif mutation == "numpy" and parent is not None and type(node) in (int, float):
+        parent[key] = (np.float64 if type(node) is float else np.int64)(node)
+    elif mutation == "tuple" and parent is not None and type(node) is list:
+        parent[key] = tuple(node)
+    return config
+
+
+@settings(max_examples=1500, deadline=None)
+@given(mutated_configs())
+def test_checker_decides_as_jsonschema(config):
+    want = reference_accepts(config)
+    accepted = scenarios._accepts(config)
+    # a config the checker cannot read exactly is left to jsonschema
+    assert accepted == want if is_plain(config) else not accepted
+    try:
+        validate_scenario(config)
+    except jsonschema.ValidationError:
+        assert not want
+    else:
+        assert want
+
+
+@pytest.mark.parametrize("config", VALID, ids=lambda c: c["kind"] + "-" + json.dumps(c)[-12:])
+def test_valid_configs_are_accepted_without_jsonschema(config):
+    assert reference_accepts(config)
+    assert scenarios._accepts(config)
+
+
+def _keywords(schema):
+    """(keyword, value) of every keyword of a schema and its subschemas."""
+    for key, value in schema.items():
+        yield key, value
+        subschemas = (value.values() if key == "properties" else
+                      value if key == "oneOf" else
+                      [value] if key in ("items", "additionalProperties") else ())
+        for sub in subschemas:
+            if isinstance(sub, dict):
+                yield from _keywords(sub)
+
+
+@pytest.mark.parametrize("schema", [SCENARIO_SCHEMA, *_PARAMETER_SCHEMAS.values()])
+def test_checker_knows_every_schema_keyword(schema):
+    for key, value in _keywords(schema):
+        scenarios._valid(None, {key: value})  # an unknown keyword raises KeyError
+    with pytest.raises(KeyError, match="uniqueItems"):
+        scenarios._valid(None, {"uniqueItems": True})
