@@ -251,6 +251,8 @@ def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,
     sides = [int(s) for s in sides]
     if any(s < 3 or s % 2 == 0 for s in sides):
         raise ValueError("sweep sides must be odd and at least 3")
+    if not 0 < L_c < math.inf:  # NaN fails too
+        raise ValueError(f"lattice constant must be finite and positive, got {L_c!r}")
     alpha = 1.0 if (mode, case) == ("pairwise", "A-free") else 2.0
     prefactor = dephasing_prefactor(omega)
 

@@ -71,7 +71,9 @@ class ClockArray:
 
     Positions are stored as an (N, 3) float array and frequencies as a length-N
     array, which keeps million-site lattices cheap. `convention` records how the
-    angular frequencies were produced from quoted values.
+    angular frequencies were produced from quoted values. `rest_masses` is None
+    or one entry per clock, None meaning "no mass"; masses are all-or-none,
+    finite and positive. Every other constructor passes its columns here.
     """
 
     def __init__(self, omegas, positions, rest_masses=None,
@@ -90,10 +92,17 @@ class ClockArray:
         if not np.all(np.isfinite(positions)):
             raise ValueError("positions must be finite")
         if rest_masses is not None:
-            rest_masses = np.asarray(rest_masses, dtype=float).reshape(-1)
-            if len(rest_masses) != len(omegas):
+            # one entry per clock, None meaning "no mass": all clocks or none
+            given = sum(m is not None for m in rest_masses)
+            masses = np.asarray(rest_masses, dtype=float).reshape(-1)
+            if len(masses) != len(omegas):
                 raise ValueError("rest_masses must match the number of clocks")
-            rest_masses.setflags(write=False)
+            if given not in (0, len(omegas)):
+                raise ValueError("either all clocks carry a rest mass or none do")
+            if given and not np.all((masses > 0) & (masses < np.inf)):
+                raise ValueError("rest masses must be finite and positive")
+            masses.setflags(write=False)
+            rest_masses = masses if given else None
         i, j = _coincident_pair(positions)
         if i is not None:
             raise ValueError(f"clocks {i} and {j} are coincident")
@@ -133,14 +142,10 @@ class ClockArray:
     def from_clocks(cls, clocks, lattice: LatticeInfo | None = None,
                     convention=DEFAULT_CONVENTION) -> "ClockArray":
         clocks = list(clocks)
-        masses = [c.rest_mass for c in clocks]
-        has_mass = any(m is not None for m in masses)
-        if has_mass and not all(m is not None for m in masses):
-            raise ValueError("either all clocks carry a rest mass or none do")
         return cls(
             omegas=[float(c.omega) for c in clocks],
             positions=[c.position for c in clocks],
-            rest_masses=masses if has_mass else None,
+            rest_masses=[c.rest_mass for c in clocks],
             lattice=lattice,
             convention=convention,
         )
@@ -172,8 +177,6 @@ class ClockArray:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ClockArray":
         clocks = data["clocks"]
-        masses = [c.get("rest_mass") for c in clocks]
-        has_mass = any(m is not None for m in masses)
         lattice = None
         if "lattice" in data:
             lat = data["lattice"]
@@ -182,7 +185,7 @@ class ClockArray:
         return cls(
             omegas=[c["omega"] for c in clocks],
             positions=[c["position"] for c in clocks],
-            rest_masses=masses if has_mass else None,
+            rest_masses=[c.get("rest_mass") for c in clocks],
             lattice=lattice,
             convention=data.get("convention", DEFAULT_CONVENTION),
         )

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import Rate
-from .geometry import ClockArray, pair_rate_matrix
-from .rates import MeasurementRates, dephasing_given_rates
+from .geometry import ClockArray, PairRateMatrix, pair_rate_matrix
+from .rates import _CLOSED_FORMS, MeasurementRates, dephasing_given_rates
 
 DENSE_CLOCK_LIMIT = 12       # 2^N density matrices
 NUMERIC_CLOCK_LIMIT = 10     # 4^N superoperator diagonal
@@ -64,8 +64,9 @@ def qubit_state(state) -> np.ndarray:
     """Normalize a qubit description (name, ket or 2x2 matrix) to a 2x2 dm.
 
     Every result is a state: a normalized ket gives a Hermitian rank-one
-    matrix, and a matrix, or a ket whose norm lost digits, passes the full
-    `DensityMatrix` check."""
+    matrix, and a matrix passes the full `DensityMatrix` check. A ket is
+    divided by its largest entry first when its norm would overflow or lose
+    digits, so every finite non-zero ket is normalized to full precision."""
     if isinstance(state, str):
         if state not in _NAMED_KETS:
             raise ValueError(f"unknown state name {state!r}; "
@@ -74,17 +75,22 @@ def qubit_state(state) -> np.ndarray:
         return np.outer(ket, ket.conj())
     arr = np.asarray(state, dtype=complex)
     if arr.shape == (2,):
-        with np.errstate(over="ignore"):  # an overflowing norm is raised below
+        with np.errstate(over="ignore", under="ignore"):  # rescaled or raised below
+            big = np.max(np.abs(arr))
+            if big == 0:
+                raise ValueError("qubit ket must be non-zero")
+            if not big < np.inf:
+                raise ValueError("qubit ket must have a finite norm")
             norm = np.linalg.norm(arr)
-        if norm == 0:
-            raise ValueError("qubit ket must be non-zero")
-        if not np.isfinite(norm):
-            raise ValueError("qubit ket must have a finite norm")
+            if not np.finfo(float).tiny <= norm * norm < np.inf:
+                # the norm overflows or its square is subnormal: divide by the
+                # largest entry, real by real as it may be subnormal; ordinary
+                # kets skip this and keep their bits
+                arr = arr.real / big + 1j * (arr.imag / big)
+                norm = np.linalg.norm(arr)
         ket = arr / norm
-        arr = np.outer(ket, ket.conj())
-        if abs(arr.trace() - 1.0) <= DensityMatrix.TRACE_TOL:
-            return arr
-    elif arr.shape != (2, 2):
+        return np.outer(ket, ket.conj())
+    if arr.shape != (2, 2):
         raise ValueError(f"cannot interpret {state!r} as a qubit state")
     return DensityMatrix(arr).matrix
 
@@ -96,7 +102,7 @@ class DensityMatrix:
     TRACE_TOL = 1e-12
     EIGENVALUE_FLOOR = -1e-10
 
-    def __init__(self, matrix, eigenvalue_floor: float | None = None):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
@@ -111,8 +117,7 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian")
         if abs(m.trace() - 1.0) > self.TRACE_TOL:
             raise ValueError(f"trace must be 1, got {m.trace()}")
-        floor = self.EIGENVALUE_FLOOR if eigenvalue_floor is None else eigenvalue_floor
-        if float(np.min(np.linalg.eigvalsh(m))) < floor:
+        if float(np.min(np.linalg.eigvalsh(m))) < self.EIGENVALUE_FLOOR:
             raise ValueError("density matrix is not positive semidefinite")
         m.setflags(write=False)
         self._m = m
@@ -211,6 +216,8 @@ class EvolutionModel:
         n = len(w)
         g = np.asarray(self.coupling, dtype=float)
         m = np.asarray(self.dephasing, dtype=float)
+        if not all(np.all(np.isfinite(a)) for a in (w, g, m)):
+            raise ValueError("omegas, coupling and dephasing must be finite")
         if g.shape != (n, n) or not np.allclose(g, g.T, rtol=0, atol=0):
             raise ValueError("coupling must be a symmetric N x N matrix")
         if np.any(np.diag(g) != 0):
@@ -277,12 +284,34 @@ def _global_dephasing_matrix(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return m
 
 
-def _channel_dephasing(g, rates: MeasurementRates) -> np.ndarray:
-    if rates.mode == "pairwise":
-        return np.diag(dephasing_given_rates(g, rates).per_clock)
-    if len(rates) != len(g):
-        raise ValueError("rates do not match the array size")
-    return _global_dephasing_matrix(g.g, rates.global_gamma)
+def _model(g: PairRateMatrix, kind: str, omegas, rates, time_unit) -> EvolutionModel:
+    """The one builder behind `build_model` and `dimensionless_model`.
+
+    A ccg kind takes rates of its own channel, "optimal" picking the free
+    closed-form minimum; M follows the channel formulas, the global one with
+    the correlated feedback-noise terms.
+    """
+    n = len(g)
+    if kind == "unitary":
+        m = np.zeros((n, n))
+    else:
+        if kind not in ("ccg-pairwise", "ccg-global"):
+            raise ValueError(f"unknown evolution kind {kind!r}")
+        channel = kind[4:]
+        if rates == "optimal":
+            rates = _CLOSED_FORMS[(channel, "A-free")](g).optimal_rates
+            if rates is None:
+                raise ValueError("optimal rates are undefined for this coupling")
+        if not isinstance(rates, MeasurementRates):
+            raise ValueError("ccg kinds need measurement rates")
+        if rates.mode != channel:
+            raise ValueError(f"{kind} needs {channel} rates")
+        if len(rates) != n:
+            raise ValueError("rates do not match the array size")
+        m = (np.diag(dephasing_given_rates(g, rates).per_clock) if channel == "pairwise"
+             else _global_dephasing_matrix(g.g, rates.global_gamma))
+    return EvolutionModel(kind=kind, omegas=omegas, coupling=g.g, dephasing=m,
+                          time_unit=time_unit)
 
 
 def build_model(array: ClockArray,
@@ -293,16 +322,8 @@ def build_model(array: ClockArray,
     dephasing follows the pairwise/global channel formulas; the global kind
     carries the correlated feedback-noise terms.
     """
-    n = len(array)
-    g = pair_rate_matrix(array)
-    if rates is None:
-        kind = "unitary"
-        m = np.zeros((n, n))
-    else:
-        kind = f"ccg-{rates.mode}"
-        m = _channel_dephasing(g, rates)
-    return EvolutionModel(kind=kind, omegas=array.omegas.copy(),
-                          coupling=g.g.copy(), dephasing=m)
+    kind = "unitary" if rates is None else f"ccg-{rates.mode}"
+    return _model(pair_rate_matrix(array), kind, array.omegas, rates, None)
 
 
 def dimensionless_model(coupling, kind: str = "ccg-pairwise", omegas=None,
@@ -313,31 +334,8 @@ def dimensionless_model(coupling, kind: str = "ccg-pairwise", omegas=None,
     rates="optimal" picks the summed-dephasing minimum for the kind; a
     MeasurementRates instance is used as given; None requires kind="unitary".
     """
-    from .geometry import PairRateMatrix
-    from .rates import min_dephasing_global_A, min_dephasing_pairwise_A
-
     g = PairRateMatrix.from_matrix(coupling)
-    n = len(g)
-    w = np.zeros(n) if omegas is None else np.asarray(omegas, dtype=float)
-    if kind == "unitary":
-        m = np.zeros((n, n))
-    else:
-        if rates == "optimal":
-            if kind == "ccg-pairwise":
-                rates = min_dephasing_pairwise_A(g).optimal_rates
-            else:
-                rates = min_dephasing_global_A(g).optimal_rates
-            if rates is None:
-                raise ValueError("optimal rates are undefined for this coupling")
-        if not isinstance(rates, MeasurementRates):
-            raise ValueError("ccg kinds need measurement rates")
-        if kind not in ("ccg-pairwise", "ccg-global"):
-            raise ValueError(f"unknown evolution kind {kind!r}")
-        if kind != f"ccg-{rates.mode}":
-            raise ValueError(f"{kind} needs {kind[4:]} rates")
-        m = _channel_dephasing(g, rates)
-    return EvolutionModel(kind=kind, omegas=w, coupling=g.g.copy(),
-                          dephasing=m, time_unit=1.0)
+    return _model(g, kind, np.zeros(len(g)) if omegas is None else omegas, rates, 1.0)
 
 
 # -- propagation --------------------------------------------------------------
@@ -350,11 +348,14 @@ def _generator_tables(model: EvolutionModel):
     return model.basis_energies(), z, zm, np.einsum("ai,ai->a", zm, z)
 
 
-def _check_propagation(n_state: int, model: EvolutionModel, times) -> None:
-    if np.any(np.asarray(times) < 0):
-        raise ValueError("time must be non-negative")
+def _check_propagation(n_state: int, model: EvolutionModel, times) -> np.ndarray:
+    t = np.asarray(times, dtype=float)
+    if not np.all((t >= 0) & (t < np.inf)):  # NaN fails both
+        raise ValueError("time must be finite and non-negative")
     if n_state != model.n_clocks:
-        raise ValueError("state and model sizes differ")
+        raise ValueError(f"state and model sizes differ ({n_state} and "
+                         f"{model.n_clocks} clocks)")
+    return t
 
 
 def evolve_exact(rho0: DensityMatrix, model: EvolutionModel, t: float) -> DensityMatrix:
@@ -437,16 +438,19 @@ def evolve_numeric(rho0: DensityMatrix, model: EvolutionModel, t: float,
         return NumericEvolution(rho=rho0, convergence_estimate=0.0, n_steps=0)
     n_steps = max(1, int(math.ceil(t / dt)))
     gen = _superoperator_diagonal(model)
-    result = _rk4_run(gen, rho0.matrix, t, n_steps)
-    halved = _rk4_run(gen, rho0.matrix, t, 2 * n_steps)
-    estimate = float(np.linalg.norm(result - halved))
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (result + result.conj().T))))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        result = _rk4_run(gen, rho0.matrix, t, n_steps)
+        halved = _rk4_run(gen, rho0.matrix, t, 2 * n_steps)
+        estimate = float(np.linalg.norm(result - halved))
+    if not np.all(np.isfinite(result)):
+        raise ValueError(f"the result is not finite; the step dt={dt} is too large")
+    # the generator's diagonal is exactly 0 and gen[b, a] == conj(gen[a, b]),
+    # so rho0's trace and Hermiticity carry over: positivity is the one check
+    min_eig = float(np.min(np.linalg.eigvalsh(result)))
     if min_eig < -1e-8:
         raise ValueError(
             f"positivity violated by {min_eig:.2e}; the step dt={dt} is too large")
-    # integrator results may sit between the -1e-8 gate and the type's
-    # stricter default floor; tolerate that window explicitly
-    return NumericEvolution(rho=DensityMatrix(result, eigenvalue_floor=-1e-8),
+    return NumericEvolution(rho=DensityMatrix._trusted(result),
                             convergence_estimate=estimate, n_steps=n_steps)
 
 
@@ -464,14 +468,13 @@ class CoherenceTrace:
 
     times: np.ndarray
     magnitudes: np.ndarray  # shape (T, N)
-    fitted_rate: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float).reshape(-1)
         m = np.asarray(self.magnitudes, dtype=float)
         if m.ndim != 2 or m.shape[0] != len(t):
             raise ValueError("magnitudes must have shape (len(times), n_clocks)")
-        if np.any(m < -1e-12) or np.any(m > 0.5 + 1e-9):
+        if not np.all((m >= -1e-12) & (m <= 0.5 + 1e-9)):  # NaN fails too
             raise ValueError("coherence magnitudes must lie in [0, 1/2]")
         t.setflags(write=False)
         m.setflags(write=False)
@@ -494,8 +497,7 @@ def simulate_coherence(model: EvolutionModel, initial, times) -> CoherenceTrace:
     """
     rho0 = initial if isinstance(initial, DensityMatrix) \
         else DensityMatrix.from_qubit_states(initial)
-    times = np.asarray(times, dtype=float)
-    _check_propagation(rho0.n_clocks, model, times)
+    times = _check_propagation(rho0.n_clocks, model, times)
     e, z, zm, q = _generator_tables(model)
     upper, lower = _coherence_pairs(model.n_clocks)
     lam = q[upper] + q[lower] - 2.0 * np.einsum("kai,kai->ka", zm[upper], z[lower])
@@ -516,8 +518,7 @@ def product_state_coherence(model: EvolutionModel, qubit_states, times) -> Coher
     O(N) per clock and time sample, with no 2^N object and no size limit.
     """
     states = [qubit_state(s) for s in qubit_states]
-    times = np.asarray(times, dtype=float)
-    _check_propagation(len(states), model, times)
+    times = _check_propagation(len(states), model, times)
     pops = np.array([np.real(s[0, 0]) for s in states])
     cohs = np.abs([s[1, 0] for s in states])
     mags = np.empty((len(times), model.n_clocks))

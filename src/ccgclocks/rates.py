@@ -298,6 +298,15 @@ def min_dephasing_global_B(g: PairRateMatrix) -> DephasingReport:
                            optimal_rates=optimal)
 
 
+# (channel, case) -> closed-form minimum
+_CLOSED_FORMS = {
+    ("pairwise", "A-free"): min_dephasing_pairwise_A,
+    ("global", "A-free"): min_dephasing_global_A,
+    ("pairwise", "B-fixed"): min_dephasing_pairwise_B,
+    ("global", "B-fixed"): min_dephasing_global_B,
+}
+
+
 # -- numerical optimizer -----------------------------------------------------
 
 # mode -> (channel, one log-rate shared by every channel?, case)

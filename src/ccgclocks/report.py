@@ -156,16 +156,16 @@ def atoms_for_target_rate(target_rate: float, dimension: int,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _two_clock_rows():
+def _two_clock_rates():
+    """(convention, omega, half the pair rate) of the petahertz pair."""
     p = PRESETS["petahertz-pair"]
-    rows = []
+    rates = []
     for conv in CONVENTIONS:
         w = apply_convention(p["quoted_frequency"], conv)
         c1 = ClockSpec(w, (0.0, 0.0, 0.0))
         c2 = ClockSpec(w, (p["separation"], 0.0, 0.0))
-        rows.append((conv.value, "pairwise", None, "pair-rate-half",
-                     float(_pair_rate(c1, c2)) / 2.0))
-    return rows
+        rates.append((conv, w, float(_pair_rate(c1, c2)) / 2.0))
+    return rates
 
 
 def _multiparticle_rows(preset_key: str, dimensions) -> list:
@@ -185,25 +185,20 @@ def _multiparticle_rows(preset_key: str, dimensions) -> list:
 def paper_report() -> PaperReport:
     """Evaluate every headline claim under all relevant combinations."""
     entries = []
+    pair = _two_clock_rates()
 
     entries.append(_finish(
         "two-clock-300nm",
         "minimum dephasing rate of two petahertz clocks 300 nm apart",
-        1e-42, "Hz", _two_clock_rows()))
+        1e-42, "Hz",
+        [(conv.value, "pairwise", None, "pair-rate-half", rate) for conv, w, rate in pair]))
 
-    frac_rows = []
-    for conv in CONVENTIONS:
-        p = PRESETS["petahertz-pair"]
-        w = apply_convention(p["quoted_frequency"], conv)
-        c1 = ClockSpec(w, (0.0, 0.0, 0.0))
-        c2 = ClockSpec(w, (p["separation"], 0.0, 0.0))
-        rate = float(_pair_rate(c1, c2)) / 2.0
-        frac_rows.append((conv.value, "pairwise", None, "rate-over-omega",
-                          rate / float(w)))
     entries.append(_finish(
         "fractional-uncertainty",
         "fractional frequency uncertainty needed to observe the two-clock rate",
-        1e-57, "dimensionless", frac_rows))
+        1e-57, "dimensionless",
+        [(conv.value, "pairwise", None, "rate-over-omega", rate / float(w))
+         for conv, w, rate in pair]))
 
     entries.append(_finish(
         "array-1e6-800nm",

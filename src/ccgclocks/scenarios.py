@@ -11,14 +11,16 @@ valid; jsonschema is imported only to explain a config the checker refuses,
 so every error message and path is jsonschema's. A runner imports the
 modules its kind uses when it runs.
 
-A JSON artifact equals json.dumps(payload, sort_keys=True, indent=2) + "\n"
-byte for byte, where each float array in the payload stands for its nested
-list. The runners hand rate vectors and matrices to the writer as float64
-arrays, and the writer formats each distinct bit pattern once. That gives
-the same bytes, because json spells a float by its shortest round-trip repr,
-a function of the float's bits alone. Rate matrices repeat few values
-(lattice distances, a B-fixed scalar, the two halves of a symmetric matrix),
-so a large one costs about one repr per distinct value.
+A JSON artifact is strict JSON: it equals
+json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n" byte
+for byte, where each float array in the payload stands for its nested list,
+and a NaN or infinity raises ValueError. The runners hand rate vectors and
+matrices to the writer as float64 arrays, and the writer formats each
+distinct bit pattern once. That gives the same bytes, because json spells a
+float by its shortest round-trip repr, a function of the float's bits alone.
+Rate matrices repeat few values (lattice distances, a B-fixed scalar, the
+two halves of a symmetric matrix), so a large one costs about one repr per
+distinct value.
 """
 
 from __future__ import annotations
@@ -35,16 +37,9 @@ import numpy as np
 
 from . import __version__
 from .constants import FrequencyConvention, apply_convention
-from .geometry import ClockArray, ClockSpec, build_lattice, pair_rate_matrix
-from .rates import (
-    MeasurementRates,
-    dephasing_given_rates,
-    min_dephasing_global_A,
-    min_dephasing_global_B,
-    min_dephasing_pairwise_A,
-    min_dephasing_pairwise_B,
-    optimize_rates,
-)
+from .geometry import ClockArray, build_lattice, pair_rate_matrix
+from .rates import (_CLOSED_FORMS, MeasurementRates, dephasing_given_rates,
+                    optimize_rates)
 
 _POSITION = {"type": "array", "minItems": 3, "maxItems": 3,
              "items": {"type": "number"}}
@@ -398,26 +393,22 @@ def validate_scenario(config: dict) -> None:
 # -- builders ------------------------------------------------------------------
 
 def _build_geometry(block: dict, convention: FrequencyConvention) -> ClockArray:
+    # apply_convention(f) is factor * f, the factor 1 or 2 pi, bit for bit
+    factor = float(apply_convention(1.0, convention))
     if "lattice" in block:
         lat = block["lattice"]
         return build_lattice(lat["dimension"], lat["lattice_constant"],
-                             lat["counts"],
-                             apply_convention(lat["quoted_frequency"], convention),
+                             lat["counts"], factor * lat["quoted_frequency"],
                              convention=convention)
-    clocks = [
-        ClockSpec(apply_convention(c["quoted_frequency"], convention),
-                  tuple(c["position"]), c.get("rest_mass"))
-        for c in block["clocks"]
-    ]
-    return ClockArray.from_clocks(clocks, convention=convention)
+    clocks = block["clocks"]
+    return ClockArray([factor * c["quoted_frequency"] for c in clocks],
+                      [c["position"] for c in clocks],
+                      [c.get("rest_mass") for c in clocks], convention=convention)
 
 
 def _build_gamma(block: dict) -> MeasurementRates:
-    if "pairwise" in block:
-        return MeasurementRates("pairwise",
-                                pairwise_gamma=np.array(block["pairwise"], float))
-    return MeasurementRates("global",
-                            global_gamma=np.array(block["global"], float))
+    mode = "pairwise" if "pairwise" in block else "global"
+    return MeasurementRates(mode, **{f"{mode}_gamma": np.array(block[mode], float)})
 
 
 def _csv_bytes(rows) -> bytes:
@@ -430,6 +421,10 @@ def _csv_bytes(rows) -> bytes:
 _CONTAINERS = (dict, list, tuple)
 _SCALARS = {int, float, str, bool, type(None)}
 
+
+# json.dumps(value, allow_nan=False): strict JSON, so a NaN or infinite
+# float raises ValueError instead of being spelled NaN or Infinity
+_dumps = json.JSONEncoder(allow_nan=False).encode
 
 # an array of fewer cells is written as its list: the C encoder formats so
 # few floats faster than np.unique finds the distinct ones, and a process that
@@ -451,7 +446,7 @@ def _array_pieces(a: np.ndarray, newline: str):
         return
     bits = a.view(np.int64)
     distinct = np.unique(bits)
-    spelled = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
+    spelled = np.array(_dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
                        dtype=object)
 
     def line(row_bits, row_newline):
@@ -471,7 +466,8 @@ def _array_pieces(a: np.ndarray, newline: str):
 
 
 def _json_pieces(value, newline: str):
-    """Pieces of json.dumps(value, sort_keys=True) indented by two spaces.
+    """Pieces of json.dumps(value, sort_keys=True, allow_nan=False) indented
+    by two spaces.
 
     `newline` is "\n" plus the current indentation. The standard library
     writes indented JSON with its pure-Python encoder; here each flat list of
@@ -485,7 +481,7 @@ def _json_pieces(value, newline: str):
         yield from _array_pieces(value, newline)
         return
     if not isinstance(value, _CONTAINERS):
-        yield json.dumps(value)
+        yield _dumps(value)
         return
     if not value:
         yield "{}" if isinstance(value, dict) else "[]"
@@ -493,11 +489,11 @@ def _json_pieces(value, newline: str):
     inner = newline + "  "
     if isinstance(value, dict):
         # non-str keys are written as the standard library writes them
-        entries = ((json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
+        entries = ((_dumps(k if isinstance(k, str) else _dumps(k)) + ": ", v)
                    for k, v in sorted(value.items()))
         brackets = "{}"
     elif set(map(type, value)) <= _SCALARS:
-        body = json.dumps(value, separators=("," + inner, ": "))
+        body = json.dumps(value, allow_nan=False, separators=("," + inner, ": "))
         yield "[" + inner + body[1:-1] + newline + "]"
         return
     else:
@@ -544,14 +540,6 @@ def emit_plot_data(entries) -> bytes:
 
 
 # -- per-kind runners (return {filename: bytes}) --------------------------------
-
-_CLOSED_FORMS = {
-    ("pairwise", "A-free"): min_dephasing_pairwise_A,
-    ("global", "A-free"): min_dephasing_global_A,
-    ("pairwise", "B-fixed"): min_dephasing_pairwise_B,
-    ("global", "B-fixed"): min_dephasing_global_B,
-}
-
 
 def _run_rates(params, convention, stem, fmt):
     array = _build_geometry(params["geometry"], convention)
@@ -641,14 +629,12 @@ def _run_simulate(params, convention, stem, fmt):
                                 omegas=params.get("omegas"),
                                 rates=None if params["kind"] == "unitary" else rates)
     states = _state_from_config(params["initial_state"])
-    if len(states) != model.n_clocks:
-        raise ValueError(
-            f"initial_state has {len(states)} entries for {model.n_clocks} clocks")
     export = params.get("export_density_matrix", False)
     if export and model.n_clocks > EXPORT_CLOCK_LIMIT:
         raise ValueError(f"JSON export is limited to {EXPORT_CLOCK_LIMIT} clocks")
     t = params["times"]
-    times = np.linspace(t.get("start", 0.0), t["stop"], t["num"])
+    with np.errstate(invalid="ignore"):  # a non-finite stop is refused below
+        times = np.linspace(t.get("start", 0.0), t["stop"], t["num"])
     trace = product_state_coherence(model, states, times)
     summary = {
         "meta": _meta(convention),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,36 @@ class TestSimulateAtArrayScale:
         cfg = write_config(tmp_path, chain_config(n, export=True))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "JSON export is limited to 4 clocks" in capsys.readouterr().err
+
+
+# configs whose numbers JSON reads as NaN or Infinity, which the schemas
+# cannot refuse: the runners do, before any artifact is written
+NON_FINITE_CONFIGS = {
+    "stop_nan": ("simulate", dict(SIMULATE_CONFIG, parameters=dict(
+        SIMULATE_CONFIG["parameters"], times={"stop": math.nan, "num": 5}))),
+    "stop_inf": ("simulate", dict(SIMULATE_CONFIG, parameters=dict(
+        SIMULATE_CONFIG["parameters"], times={"stop": math.inf, "num": 5}))),
+    "omega_nan_export": ("simulate", dict(SIMULATE_CONFIG, parameters=dict(
+        SIMULATE_CONFIG["parameters"], omegas=[math.nan, 1.0],
+        export_density_matrix=True))),
+    "lattice_constant_inf": ("scaling", {"kind": "scaling-sweep", "parameters": {
+        "dimension": 2, "mode": "pairwise", "case": "A-free",
+        "lattice_constant": math.inf}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CONFIGS))
+def test_non_finite_numbers_exit_3_without_artifacts(tmp_path, capsys, name):
+    subcommand, config = NON_FINITE_CONFIGS[name]
+    cfg = write_config(tmp_path, config)  # json writes NaN and Infinity, and reads them
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would fail the run
+        code = main([subcommand, "--config", str(cfg), "--out", str(out)])
+    assert code == 3
+    assert not out.exists() or not any(out.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("error: computation failed:") and "Warning" not in err
 
 
 class TestPaperReport:

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ccgclocks.constants import apply_convention
+from ccgclocks.constants import FrequencyConvention, apply_convention
 from ccgclocks.geometry import (
     ClockArray,
     ClockSpec,
@@ -190,3 +191,93 @@ def test_clock_spec_validation():
         ClockSpec(W15, (0, 0, float("inf")))
     with pytest.raises(ValueError):
         ClockSpec(W15, (0, 0, 0), rest_mass=0.0)
+
+
+# -- one construction path: ClockArray owns every per-clock rule -----------------
+
+_CONVENTIONS = ("direct", "times-two-pi")
+_BAD_MASSES = [0.0, -1.0, -0.0, math.nan, math.inf, -math.inf, None]
+
+
+@st.composite
+def clock_columns(draw):
+    """Quoted frequencies, distinct positions, and masses for all or none."""
+    n = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5),
+                                    st.integers(-5, 5)),
+                          min_size=n, max_size=n, unique=True))
+    scale = draw(st.floats(1e-9, 1e-3))
+    positions = [[scale * x for x in cell] for cell in cells]
+    quoted = draw(st.lists(st.floats(0.0, 1e16), min_size=n, max_size=n))
+    masses = draw(st.one_of(st.none(), st.lists(st.floats(1e-30, 1e-20),
+                                                min_size=n, max_size=n)))
+    return quoted, positions, masses
+
+
+def _every_path(quoted, positions, masses, convention):
+    """The same clocks built by each of the four paths."""
+    from ccgclocks.scenarios import _build_geometry
+
+    per_clock = masses if masses is not None else [None] * len(quoted)
+    omegas = [float(apply_convention(f, convention)) for f in quoted]
+    config = [dict({"quoted_frequency": f, "position": p},
+                   **({} if m is None else {"rest_mass": m}))
+              for f, p, m in zip(quoted, positions, per_clock)]
+    as_json = {"clocks": [dict({"omega": w, "position": p},
+                               **({} if m is None else {"rest_mass": m}))
+                          for w, p, m in zip(omegas, positions, per_clock)],
+               "convention": convention}
+    return {
+        "init": lambda: ClockArray(omegas, positions, masses, convention=convention),
+        "from_clocks": lambda: ClockArray.from_clocks(
+            [ClockSpec(w, p, m) for w, p, m in zip(omegas, positions, per_clock)],
+            convention=convention),
+        "from_json": lambda: ClockArray.from_json(json.dumps(as_json)),
+        "scenario": lambda: _build_geometry({"clocks": config},
+                                            FrequencyConvention.parse(convention)),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(clock_columns(), st.sampled_from(_CONVENTIONS))
+def test_every_construction_path_gives_the_same_array(columns, convention):
+    arrays = {name: build() for name, build in _every_path(*columns, convention).items()}
+    arrays["round_trip"] = ClockArray.from_json(arrays["init"].to_json())
+    ref = arrays["init"]
+    for name, arr in arrays.items():
+        assert np.array_equal(arr.omegas, ref.omegas), name
+        assert np.array_equal(arr.positions, ref.positions), name
+        if ref.rest_masses is None:
+            assert arr.rest_masses is None, name
+        else:
+            assert np.array_equal(arr.rest_masses, ref.rest_masses), name
+        assert arr.convention == ref.convention, name
+
+
+@settings(max_examples=100, deadline=None)
+@given(clock_columns(), st.sampled_from(_CONVENTIONS), st.sampled_from(_BAD_MASSES),
+       st.data())
+def test_every_construction_path_refuses_the_same_bad_masses(columns, convention, bad,
+                                                             data):
+    quoted, positions, masses = columns
+    masses = list(masses) if masses is not None else [1e-25] * len(quoted)
+    assume(bad is not None or len(masses) > 1)  # one clock without a mass has none
+    masses[data.draw(st.integers(0, len(masses) - 1))] = bad
+    for name, build in _every_path(quoted, positions, masses, convention).items():
+        with pytest.raises(ValueError):
+            build()
+            pytest.fail(f"{name} accepted rest mass {bad!r}")
+
+
+def test_rest_masses_are_finite_positive_and_all_or_none():
+    pos = [[0, 0, 0], [1e-6, 0, 0]]
+    with pytest.raises(ValueError, match="finite and positive"):
+        ClockArray([W15.value] * 2, pos, rest_masses=[-1.0, math.nan])
+    text = ClockArray([W15.value] * 2, pos, rest_masses=[1e-25, 1e-25]).to_json()
+    with pytest.raises(ValueError, match="finite and positive"):
+        ClockArray.from_json(text.replace("1e-25", "-1e-25", 1))
+    partial = json.loads(text)
+    del partial["clocks"][0]["rest_mass"]
+    with pytest.raises(ValueError, match="either all clocks carry a rest mass or none do"):
+        ClockArray.from_json(json.dumps(partial))
+    assert ClockArray([W15.value] * 2, pos, rest_masses=[None, None]).rest_masses is None

@@ -19,10 +19,11 @@ from ccgclocks.lindblad import (
     evolve_numeric,
     negativity,
     product_state_coherence,
+    qubit_state,
     simulate_coherence,
     single_clock_coherences,
 )
-from ccgclocks.rates import MeasurementRates, min_dephasing_pairwise_A
+from ccgclocks.rates import _CLOSED_FORMS, MeasurementRates, min_dephasing_pairwise_A
 
 G2 = [[0.0, 1.0], [1.0, 0.0]]
 
@@ -110,18 +111,29 @@ class TestDensityMatrix:
             DensityMatrix.from_qubit_states([[[0.5, 1.0], [0.0, 0.5]]])
 
     def test_non_finite_inputs_rejected(self):
-        for ket in ([math.nan, 1.0], [math.inf, 0.0], [1e200, 0.0]):
+        for ket in ([math.nan, 1.0], [math.inf, 0.0]):
             with pytest.raises(ValueError, match="finite norm"):
                 DensityMatrix.from_qubit_states(["plus", ket])
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix(np.diag([math.nan, 1.0]).astype(complex))
 
-    def test_ket_with_an_inaccurate_norm_fails_the_trace_check(self):
-        # the squared entries are subnormal, so the norm loses digits
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix.from_qubit_states([[1e-160, 1e-160]])
-        with pytest.raises(ValueError, match="trace"):
-            product_state_coherence(ccg2(), ["plus", [1e-160, 1e-160]], [0.0])
+    def test_kets_at_the_ends_of_the_float_range_are_normalized(self):
+        # [1e200, 0] overflows the plain norm, and [1e-160, 1e-160] has
+        # subnormal squares; each is divided by its largest entry first
+        for ket, name in (([1e200, 0.0], "zero"), ([1e-160, 1e-160], "plus"),
+                          ([5e-324, 0.0], "zero"), ([0.0, 1e-300j], "one")):
+            rho = DensityMatrix.from_qubit_states([ket])
+            assert np.allclose(rho.matrix, qubit_state(name), rtol=0, atol=1e-15)
+            DensityMatrix(rho.matrix)  # the public check agrees
+            trace = product_state_coherence(ccg2(), ["plus", ket], [0.0, 1.0])
+            assert np.allclose(trace.magnitudes[0], [0.5, 0.5 if name == "plus" else 0.0],
+                               rtol=0, atol=1e-15)
+
+    def test_ordinary_kets_keep_their_bits(self):
+        rng = np.random.default_rng(17)
+        for ket in [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(50)]:
+            k = ket / np.linalg.norm(ket)
+            assert qubit_state(ket).tobytes() == np.outer(k, k.conj()).tobytes()
 
     def test_json_export_limited_to_four_clocks(self):
         rho = DensityMatrix.from_qubit_states(["plus"] * 5)
@@ -217,6 +229,32 @@ class TestBuildModel:
         except ValueError as exc:
             got = str(exc)
         assert got == reference(m)
+
+    def test_non_finite_model_inputs_refused(self):
+        common = dict(kind="ccg-global", omegas=np.zeros(2), coupling=np.array(G2),
+                      dephasing=np.eye(2))
+        for key, bad in (("omegas", [math.nan, 1.0]), ("omegas", [0.0, math.inf]),
+                         ("coupling", [[0.0, math.inf], [math.inf, 0.0]]),
+                         ("dephasing", [[1.0, math.nan], [math.nan, 1.0]]),
+                         ("dephasing", [[math.inf, 0.0], [0.0, 1.0]])):
+            with pytest.raises(ValueError, match="must be finite"):
+                EvolutionModel(**dict(common, **{key: np.array(bad)}))
+        with pytest.raises(ValueError, match="must be finite"):
+            dimensionless_model(G2, omegas=[math.nan, 1.0])
+
+    @pytest.mark.parametrize("mode", ["pairwise", "global"])
+    def test_both_constructors_build_the_same_model(self, mode):
+        arr = build_lattice(2, 1e-6, [2, 3], 1e15)
+        g = pair_rate_matrix(arr)
+        optimal = _CLOSED_FORMS[(mode, "A-free")](g).optimal_rates
+        for rates in (optimal, "optimal"):
+            scaled = dimensionless_model(g.g, kind=f"ccg-{mode}", omegas=arr.omegas,
+                                         rates=rates)
+            model = build_model(arr, optimal)
+            assert model.kind == scaled.kind == f"ccg-{mode}"
+            for field in ("omegas", "coupling", "dephasing"):
+                assert getattr(model, field).tobytes() == getattr(scaled, field).tobytes()
+            assert (model.time_unit, scaled.time_unit) == (None, 1.0)
 
     def test_unitary_kind_must_have_zero_dephasing(self):
         with pytest.raises(ValueError):
@@ -335,6 +373,12 @@ class TestEvolveNumeric:
         with pytest.raises(ValueError, match="too large"):
             evolve_numeric(rho, model, 5.0, dt=0.5)
 
+    def test_overflowing_step_is_refused_without_a_warning(self):
+        # the step polynomial raised to the number of steps overflows
+        model = dimensionless_model(10.0 * np.array(G2), kind="ccg-pairwise")
+        with pytest.raises(ValueError, match="not finite; the step dt=0.5 is too large"):
+            evolve_numeric(DensityMatrix.all_plus(2), model, 200.0, dt=0.5)
+
     def test_size_cap(self):
         g = np.zeros((11, 11))
         g[0, 1] = g[1, 0] = 1.0
@@ -346,6 +390,19 @@ class TestEvolveNumeric:
         rho = DensityMatrix.all_plus(2)
         with pytest.raises(ValueError, match="limited to 10"):
             evolve_numeric(rho, model, 1.0, dt=1e-2)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_output_is_a_state_by_construction(self, kind):
+        # the oracle's one check is positivity: its diagonal is rho0's, bit
+        # for bit, and it is Hermitian within the public tolerances
+        rng = np.random.default_rng(29)
+        for n in range(1, 6):
+            rho, model = random_density(rng, n), random_model(rng, n, kind)
+            out = evolve_numeric(rho, model, rng.uniform(0.1, 2.0), dt=1e-2).rho.matrix
+            assert np.diag(out).tobytes() == np.diag(rho.matrix).tobytes()
+            assert abs(np.trace(out) - 1.0) <= DensityMatrix.TRACE_TOL
+            assert np.max(np.abs(out - out.conj().T)) <= DensityMatrix.HERMITICITY_TOL
+            DensityMatrix(out)  # the public check agrees
 
     def test_dt_validation(self):
         with pytest.raises(ValueError):
@@ -375,6 +432,16 @@ class TestCoherence:
             product_state_coherence(ccg2(), ["plus", "zero"], [0.0, -1.0])
         with pytest.raises(ValueError, match="sizes differ"):
             product_state_coherence(ccg2(), ["plus"] * 3, [0.0, 1.0])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_times_refused(self, t):
+        rho = DensityMatrix.all_plus(2)
+        for run in (lambda: evolve_exact(rho, ccg2(), t),
+                    lambda: evolve_numeric(rho, ccg2(), t, dt=1e-2),
+                    lambda: simulate_coherence(ccg2(), rho, [0.0, t]),
+                    lambda: product_state_coherence(ccg2(), ["plus", "zero"], [0.0, t])):
+            with pytest.raises(ValueError, match="time must be finite and non-negative"):
+                run()
 
     def test_single_clock_coherence_of_plus(self):
         rho = DensityMatrix.from_qubit_states(["plus", "zero", "one"])
@@ -435,6 +502,11 @@ class TestCoherence:
         with pytest.raises(ValueError):
             CoherenceTrace(times=np.array([0.0, 1.0]),
                            magnitudes=np.array([[0.7], [0.1]]))
+
+    def test_nan_magnitudes_refused(self):
+        with pytest.raises(ValueError, match=r"\[0, 1/2\]"):
+            CoherenceTrace(times=np.array([0.0, 1.0]),
+                           magnitudes=np.array([[0.5], [math.nan]]))
 
 
 class TestNegativity:

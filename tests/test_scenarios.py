@@ -24,8 +24,19 @@ from ccgclocks.scenarios import (
 
 def reference_bytes(value) -> bytes:
     # the writer takes float arrays where json.dumps takes their nested lists
-    return (json.dumps(value, sort_keys=True, indent=2,
+    return (json.dumps(value, sort_keys=True, indent=2, allow_nan=False,
                        default=lambda a: a.tolist()) + "\n").encode()
+
+
+def assert_writes_like_dumps(value):
+    """The writer gives strict json.dumps' bytes, or refuses as it does."""
+    try:
+        expected = reference_bytes(value)
+    except ValueError:  # a NaN or infinity, which strict JSON cannot spell
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_bytes(value)
+        return
+    assert _json_bytes(value) == expected
 
 
 # -- writer ----------------------------------------------------------------------
@@ -59,13 +70,14 @@ _values = st.recursive(
 @example([np.float64(-0.0), np.float64(1e-300), "é☃\U0001d11e"])
 @example((1, (2.5, [3]), {"k": ()}))
 def test_writer_matches_indented_dumps(value):
-    assert _json_bytes(value) == reference_bytes(value)
+    assert_writes_like_dumps(value)
 
 
-@pytest.mark.parametrize("keys", [[3, -1, 10**20], [2.5, -0.0, math.inf], [True, False], [None]])
+@pytest.mark.parametrize("keys", [[3, -1, 10**20], [2.5, -0.0, math.inf], [True, False], [None],
+                                  [2.5, -0.0, 1e300], [math.nan]])
 def test_writer_non_string_keys_match_dumps(keys):
     value = {k: [k] for k in keys}
-    assert _json_bytes(value) == reference_bytes(value)
+    assert_writes_like_dumps(value)
 
 
 # ±0.0, subnormals and the non-finite values json spells by name
@@ -101,7 +113,17 @@ _CORNERS = np.array([[0.0, -0.0, 5e-324, 2.5e-310], [math.nan, math.inf, -math.i
           "square": np.resize(_CORNERS, (12, 12)), "row": np.resize(_CORNERS, (1, 100)),
           "column": np.resize(_CORNERS, (100, 1))})
 def test_writer_arrays_match_dumps_of_their_lists(value):
-    assert _json_bytes(value) == reference_bytes(value)
+    assert_writes_like_dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, -math.inf, np.float64(math.inf), [1.0, math.nan], {"a": [0.5, math.inf, 2.0]},
+    np.resize([1.0, math.nan], _CUTOFF - 1), np.resize([1.0, -math.inf], _CUTOFF),
+    np.resize([0.25, math.inf, 0.5], (8, 8)), {"rows": np.full((3, 40), math.nan)}])
+def test_writer_refuses_non_finite_floats(value):
+    # scalars, short lists, and arrays on both sides of the small-array cutoff
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _json_bytes({"x": value})
 
 
 @pytest.mark.parametrize("array", [np.arange(3), np.zeros((2, 2, 2)), np.array(1.5),
