@@ -24,8 +24,7 @@ _EXPORTS = {
         "min_dephasing_pairwise_B", "optimize_rates"),
     "continuum": (
         "ContinuumEstimate", "ScalingFit", "SweepPoint", "compare_sum_vs_integral",
-        "continuum_sum", "fit_scaling", "kahan_sum", "lattice_sum_exact",
-        "scaling_rate_sweep"),
+        "continuum_sum", "fit_scaling", "lattice_sum_exact", "scaling_rate_sweep"),
     "lindblad": (
         "CoherenceTrace", "DensityMatrix", "EvolutionModel", "NumericEvolution",
         "build_model", "coherence_decay_rate", "dimensionless_model", "evolve_exact",
@@ -33,9 +32,8 @@ _EXPORTS = {
         "single_clock_coherences"),
     "redshift": (
         "CompositeBody", "ExplicitAtoms", "RedshiftDephasing", "ShellShape",
-        "SimpleBody", "bound_parameters", "composite_dephasing",
-        "internal_measurement_rate", "redshift_coupling", "shell_dephasing",
-        "simple_particle_dephasing"),
+        "bound_parameters", "composite_dephasing", "internal_measurement_rate",
+        "redshift_coupling", "shell_dephasing", "simple_particle_dephasing"),
     "report": ("PaperReport", "paper_report"),
     "scenarios": (
         "SCENARIO_SCHEMA", "emit_plot_data", "run_scenario", "validate_scenario"),

@@ -32,11 +32,6 @@ DEFAULT_SIDES = {
 }
 
 
-def kahan_sum(values) -> float:
-    """Correctly rounded sum, hence independent of the order of `values`."""
-    return math.fsum(values)
-
-
 def _exact_sum(terms: np.ndarray, what: str) -> float:
     """math.fsum (Shewchuk's exact summation, rounded once) of `terms`;
     raises ValueError naming `what` when the sum is not finite."""
@@ -236,15 +231,23 @@ def _center_sum_fast(D: int, side: int, alpha: float, L_c: float) -> float:
     return _exact_sum(terms, f"distance sum at L_c={L_c!r}")
 
 
+# (mode, case) -> (alpha, the center clock's minimum rate over the dephasing
+# prefactor, from its alpha distance sum s among n clocks): the closed-form minima
+_CENTER_RATES = {
+    ("pairwise", "A-free"): (1.0, lambda s, n: s),
+    ("pairwise", "B-fixed"): (2.0, lambda s, n: math.sqrt((n - 1) * s)),
+    ("global", "A-free"): (2.0, lambda s, n: math.sqrt(s)),
+    ("global", "B-fixed"): (2.0, lambda s, n: math.sqrt(s)),
+}
+
+
 def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,
                        L_c: float = 1.0, sides=None) -> list[SweepPoint]:
     """Center-clock minimum dephasing rate versus N for one channel/case.
 
-    mode/case pairs map onto the closed-form minima: (pairwise, A-free) uses
-    the alpha=1 sum, (global, A-free) and both B-fixed cases use alpha=2.
     Sides must be odd so a true center clock exists.
     """
-    if mode not in ("pairwise", "global") or case not in ("A-free", "B-fixed"):
+    if (mode, case) not in _CENTER_RATES:
         raise ValueError(f"unsupported mode/case combination ({mode}, {case})")
     if sides is None:
         sides = DEFAULT_SIDES[D]
@@ -253,7 +256,7 @@ def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,
         raise ValueError("sweep sides must be odd and at least 3")
     if not 0 < L_c < math.inf:  # NaN fails too
         raise ValueError(f"lattice constant must be finite and positive, got {L_c!r}")
-    alpha = 1.0 if (mode, case) == ("pairwise", "A-free") else 2.0
+    alpha, center_rate = _CENTER_RATES[mode, case]
     prefactor = dephasing_prefactor(omega)
 
     points = []
@@ -261,12 +264,6 @@ def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,
         n = side ** D
         s = _center_sum_fast(D, side, alpha, L_c)
         est = continuum_sum(n, D, L_c, alpha).value
-        if alpha == 1.0:  # pairwise, A-free
-            rate = prefactor * s
-        elif mode == "pairwise":  # B-fixed
-            rate = prefactor * math.sqrt((n - 1) * s)
-        else:
-            rate = prefactor * math.sqrt(s)
         points.append(SweepPoint(N=n, exact_sum=s, continuum_estimate=est,
-                                 ratio=s / est, rate=rate))
+                                 ratio=s / est, rate=prefactor * center_rate(s, n)))
     return points

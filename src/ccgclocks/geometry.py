@@ -39,12 +39,8 @@ class ClockSpec:
     def __post_init__(self):
         if not isinstance(self.omega, AngularFrequency):
             object.__setattr__(self, "omega", AngularFrequency(float(self.omega)))
-        pos = tuple(float(x) for x in self.position)
-        if len(pos) != 3 or not all(np.isfinite(pos)):
-            raise ValueError(f"position must be a finite 3-vector, got {self.position!r}")
-        object.__setattr__(self, "position", pos)
-        if self.rest_mass is not None and not float(self.rest_mass) > 0:
-            raise ValueError("rest_mass must be positive when given")
+        object.__setattr__(self, "position", tuple(float(x) for x in self.position))
+        ClockArray([float(self.omega)], [self.position], [self.rest_mass])  # ClockArray's rules
 
 
 @dataclass(frozen=True)

@@ -68,22 +68,6 @@ class ExplicitAtoms:
 
 
 @dataclass(frozen=True)
-class SimpleBody:
-    """Massive body treated as a single degree of freedom."""
-
-    mass: float
-    distance: float
-    gamma_position: PositionMeasurementRate
-
-    def __post_init__(self):
-        if not (self.mass > 0 and self.distance > 0):
-            raise ValueError("mass and distance must be positive")
-        if not isinstance(self.gamma_position, PositionMeasurementRate):
-            object.__setattr__(self, "gamma_position",
-                               PositionMeasurementRate(float(self.gamma_position)))
-
-
-@dataclass(frozen=True)
 class CompositeBody:
     """Crystal of identical atoms: atom mass, lattice constant and a shape."""
 
@@ -103,7 +87,8 @@ class RedshiftDephasing:
     """Clock dephasing split into measurement and feedback parts.
 
     position_diffusion holds the per-atom coefficients Gamma/2 + g_i^2/(8 Gamma_z)
-    in Hz m^-2 (infinite for Gamma_z = 0); they are reported, not evolved.
+    in Hz m^-2 (infinite for Gamma_z = 0 or where they overflow); they are
+    reported, not evolved.
     """
 
     total: float
@@ -143,13 +128,17 @@ class RedshiftDephasing:
         return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
-def redshift_coupling(mass: float, distance: float, omega) -> float:
-    """Energy-position coupling G m w / (c^2 d^2), units Hz/m."""
-    if not distance > 0:
+def redshift_coupling(mass: float, distance: float | np.ndarray, omega) -> float | np.ndarray:
+    """Energy-position coupling G m w / (c^2 d^2), units Hz/m. An array of
+    distances gives one coupling per distance."""
+    if not (np.asarray(distance) > 0).all():  # NaN fails too
         raise ValueError("distance must be positive")
     if mass < 0:
         raise ValueError("mass must be non-negative")
-    return CONSTANTS.G * mass * float(omega) / (CONSTANTS.c ** 2 * distance ** 2)
+    try:
+        return CONSTANTS.G * mass * float(omega) / (CONSTANTS.c ** 2 * distance ** 2)
+    except (OverflowError, ZeroDivisionError):  # a float d^2 overflows, or is 0
+        raise ValueError(f"distance {distance!r} squared is out of the float range") from None
 
 
 def internal_measurement_rate(atom_mass: float, lattice_constant: float) -> PositionMeasurementRate:
@@ -161,16 +150,40 @@ def internal_measurement_rate(atom_mass: float, lattice_constant: float) -> Posi
         CONSTANTS.G * atom_mass ** 2 / (CONSTANTS.hbar * lattice_constant ** 3))
 
 
+def _clock_rate(gamma_z) -> float:
+    """The clock measurement rate Gamma_z as a float, finite and >= 0."""
+    gz = float(gamma_z)
+    if not 0 <= gz < math.inf:  # NaN fails too
+        raise ValueError("clock measurement rate must be finite and non-negative")
+    return gz
+
+
+def _channel_dephasing(couplings: np.ndarray, gamma, gamma_z,
+                       convention) -> RedshiftDephasing:
+    """Clock dephasing Gamma_z/2 + sum_i g_i^2 / (8 Gamma) from masses with
+    couplings g_i, each measured at the rate Gamma (the feedback term diverges
+    at Gamma = 0), and their position diffusion Gamma/2 + g_i^2 / (8 Gamma_z)."""
+    gamma, gz = float(gamma), _clock_rate(gamma_z)
+    if not 0 < gamma < math.inf:
+        raise ValueError("position measurement rate must be finite and positive")
+    with np.errstate(over="ignore"):  # a non-finite sum is raised as ValueError
+        squares = couplings ** 2
+        feedback = _exact_sum(squares / (8.0 * gamma), "redshift feedback sum")
+        diffusion = (gamma / 2.0 + squares / (8.0 * gz) if gz > 0
+                     else np.full(len(squares), np.inf))
+    return RedshiftDephasing(total=gz / 2.0 + feedback,
+                             measurement_part=gz / 2.0,
+                             feedback_part=feedback,
+                             position_diffusion=diffusion,
+                             convention=convention)
+
+
 def shell_dephasing(inner_radius: float, outer_radius: float, omega,
                     gamma_z, convention=DEFAULT_CONVENTION) -> RedshiftDephasing:
     """Closed-form clock dephasing from a shell of matter around the clock."""
-    if not outer_radius >= inner_radius > 0:
-        raise ValueError("need outer radius >= inner radius > 0")
-    gz = float(gamma_z)
-    if gz < 0:
-        raise ValueError("clock measurement rate must be non-negative")
-    w = float(omega)
-    feedback = (math.pi * CONSTANTS.G * CONSTANTS.hbar * w ** 2
+    ShellShape(inner_radius, outer_radius)  # the radii rule
+    gz = _clock_rate(gamma_z)
+    feedback = (math.pi * CONSTANTS.G * CONSTANTS.hbar * float(omega) ** 2
                 / (2.0 * CONSTANTS.c ** 4)) * (1.0 / inner_radius - 1.0 / outer_radius)
     return RedshiftDephasing(total=gz / 2.0 + feedback,
                              measurement_part=gz / 2.0,
@@ -189,37 +202,20 @@ def composite_dephasing(body: CompositeBody, clock_position, omega, gamma_z, *,
     sum convergent. gamma_atoms overrides the internal measurement rate (used
     e.g. to realize a one-atom body with a prescribed rate).
     """
-    gz = float(gamma_z)
-    if gz < 0:
-        raise ValueError("clock measurement rate must be non-negative")
-    w = float(omega)
     if isinstance(body.shape, ShellShape):
         return shell_dephasing(body.shape.inner_radius, body.shape.outer_radius,
-                               w, gz, convention=convention)
-    gamma = float(gamma_atoms) if gamma_atoms is not None else float(
-        internal_measurement_rate(body.atom_mass, body.lattice_constant))
-    if not gamma > 0:
-        raise ValueError("atom measurement rate must be positive")
-    pos = body.shape.positions
-    d = np.linalg.norm(pos - np.asarray(clock_position, dtype=float), axis=1)
+                               omega, gamma_z, convention=convention)
+    gamma = gamma_atoms if gamma_atoms is not None else internal_measurement_rate(
+        body.atom_mass, body.lattice_constant)
+    d = np.linalg.norm(body.shape.positions - np.asarray(clock_position, dtype=float), axis=1)
     exclusion = body.lattice_constant / 2.0
     if np.any(d < exclusion):
         k = int(np.argmin(d))
         raise ValueError(
             f"clock lies inside the exclusion radius of atom {k} "
             f"(distance {d[k]:.3e} m < {exclusion:.3e} m)")
-    couplings = CONSTANTS.G * body.atom_mass * w / (CONSTANTS.c ** 2 * d ** 2)
-    with np.errstate(over="ignore"):  # raised as ValueError
-        feedback = _exact_sum(couplings ** 2 / (8.0 * gamma), "redshift feedback sum")
-    if gz > 0:
-        diffusion = gamma / 2.0 + couplings ** 2 / (8.0 * gz)
-    else:
-        diffusion = np.full(len(d), np.inf)
-    return RedshiftDephasing(total=gz / 2.0 + feedback,
-                             measurement_part=gz / 2.0,
-                             feedback_part=feedback,
-                             position_diffusion=diffusion,
-                             convention=convention)
+    return _channel_dephasing(redshift_coupling(body.atom_mass, d, omega),
+                              gamma, gamma_z, convention)
 
 
 def simple_particle_dephasing(mass: float, distance: float, omega,
@@ -230,22 +226,8 @@ def simple_particle_dephasing(mass: float, distance: float, omega,
     limit of the composite description."""
     if not (mass > 0 and distance > 0):
         raise ValueError("mass and distance must be positive")
-    gi = float(gamma_i)
-    if not gi > 0:
-        raise ValueError("position measurement rate must be positive "
-                         "(the feedback term diverges at zero)")
-    gz = float(gamma_z)
-    if gz < 0:
-        raise ValueError("clock measurement rate must be non-negative")
-    w = float(omega)
-    coupling = redshift_coupling(mass, distance, w)
-    feedback = coupling ** 2 / (8.0 * gi)
-    return RedshiftDephasing(total=gz / 2.0 + feedback,
-                             measurement_part=gz / 2.0,
-                             feedback_part=feedback,
-                             position_diffusion=np.array([gi / 2.0 + coupling ** 2 / (8.0 * gz)])
-                             if gz > 0 else np.array([np.inf]),
-                             convention=convention)
+    return _channel_dephasing(np.array([redshift_coupling(mass, distance, omega)]),
+                              gamma_i, gamma_z, convention)
 
 
 def bound_parameters(observed_dephasing_cap, mass: float, distance: float,
@@ -259,7 +241,9 @@ def bound_parameters(observed_dephasing_cap, mass: float, distance: float,
     cap = float(observed_dephasing_cap)
     if not cap > 0:
         raise ValueError("the dephasing cap must be positive")
-    w = float(omega)
-    coupling = redshift_coupling(mass, distance, w)
-    gamma_i_lower = coupling ** 2 / (8.0 * cap)
+    coupling = redshift_coupling(mass, distance, omega)
+    try:
+        gamma_i_lower = coupling ** 2 / (8.0 * cap)
+    except OverflowError:  # a float g^2 overflows
+        raise ValueError("the bound position measurement rate is not finite") from None
     return PositionMeasurementRate(gamma_i_lower), Rate(2.0 * cap)

@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .constants import FrequencyConvention, apply_convention, dephasing_prefactor
-from .continuum import SOLID_ANGLE, continuum_sum
+from .continuum import _CENTER_RATES, SOLID_ANGLE, continuum_sum
 from .geometry import ClockSpec
 from .geometry import pair_interaction_rate as _pair_rate
 from .redshift import bound_parameters
@@ -123,14 +123,12 @@ def array_minimum_rate(n_clocks: float, dimension: int, lattice_constant: float,
     the free per-clock optimum (square root of the alpha = 2 sum). Large-N
     estimates are only available through the continuum integral.
     """
+    if (mode, "A-free") not in _CENTER_RATES:
+        raise ValueError(f"unknown mode {mode!r}")
+    alpha, center_rate = _CENTER_RATES[mode, "A-free"]
     n = int(n_clocks) if n_clocks == int(n_clocks) else n_clocks
-    if mode == "pairwise":
-        s = continuum_sum(n, dimension, lattice_constant, 1.0).value
-        return dephasing_prefactor(omega) * s
-    if mode == "global":
-        s = continuum_sum(n, dimension, lattice_constant, 2.0).value
-        return dephasing_prefactor(omega) * math.sqrt(s)
-    raise ValueError(f"unknown mode {mode!r}")
+    s = continuum_sum(n, dimension, lattice_constant, alpha).value
+    return dephasing_prefactor(omega) * center_rate(s, n)
 
 
 def atoms_for_target_rate(target_rate: float, dimension: int,

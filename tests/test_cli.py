@@ -419,8 +419,13 @@ class TestSimulateAtArrayScale:
         assert "JSON export is limited to 4 clocks" in capsys.readouterr().err
 
 
+REDSHIFT_SIMPLE = {"kind": "redshift", "parameters": {
+    "body": {"kind": "simple", "mass": 5.97e24, "distance": 6.371e6, "gamma_position": 15.0},
+    "quoted_frequency": 1e15, "gamma_clock": 0.1}}
+
 # configs whose numbers JSON reads as NaN or Infinity, which the schemas
-# cannot refuse: the runners do, before any artifact is written
+# cannot refuse, or whose results overflow: the runners refuse them before
+# any artifact is written
 NON_FINITE_CONFIGS = {
     "stop_nan": ("simulate", dict(SIMULATE_CONFIG, parameters=dict(
         SIMULATE_CONFIG["parameters"], times={"stop": math.nan, "num": 5}))),
@@ -432,6 +437,14 @@ NON_FINITE_CONFIGS = {
     "lattice_constant_inf": ("scaling", {"kind": "scaling-sweep", "parameters": {
         "dimension": 2, "mode": "pairwise", "case": "A-free",
         "lattice_constant": math.inf}}),
+    "gamma_clock_nan": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
+        REDSHIFT_SIMPLE["parameters"], gamma_clock=math.nan))),
+    "gamma_clock_inf": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
+        REDSHIFT_SIMPLE["parameters"], gamma_clock=math.inf))),
+    # a finite coupling whose square overflows
+    "simple_body_overflow": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
+        REDSHIFT_SIMPLE["parameters"], body=dict(
+            REDSHIFT_SIMPLE["parameters"]["body"], mass=1e200, distance=1.0)))),
 }
 
 
@@ -447,6 +460,7 @@ def test_non_finite_numbers_exit_3_without_artifacts(tmp_path, capsys, name):
     assert not out.exists() or not any(out.iterdir())
     err = capsys.readouterr().err
     assert err.startswith("error: computation failed:") and "Warning" not in err
+    assert "Traceback" not in err
 
 
 class TestPaperReport:

@@ -16,7 +16,6 @@ from ccgclocks.continuum import (
     compare_sum_vs_integral,
     continuum_sum,
     fit_scaling,
-    kahan_sum,
     lattice_sum_exact,
     scaling_rate_sweep,
 )
@@ -25,20 +24,21 @@ from ccgclocks.geometry import ClockArray, build_lattice
 W15 = 1e15
 
 
-class TestKahanSum:
+class TestExactSum:
     def test_matches_fsum_on_adversarial_data(self):
         rng = np.random.default_rng(7)
         values = np.concatenate([rng.uniform(1e-9, 1, 5000),
                                  rng.uniform(1e8, 1e9, 5),
-                                 rng.uniform(1e-18, 1e-16, 5000)]).tolist()
-        assert kahan_sum(values) == pytest.approx(math.fsum(values), rel=1e-15)
+                                 rng.uniform(1e-18, 1e-16, 5000)])
+        assert _exact_sum(values, "sum") == pytest.approx(math.fsum(values.tolist()),
+                                                          rel=1e-15)
 
     def test_order_independent(self):
         rng = np.random.default_rng(1)
-        values = (10.0 ** rng.uniform(-10, 10, 2000)).tolist()
-        total = kahan_sum(values)
+        values = 10.0 ** rng.uniform(-10, 10, 2000)
+        total = _exact_sum(values, "sum")
         rng.shuffle(values)
-        assert kahan_sum(values) == pytest.approx(total, rel=1e-14)
+        assert _exact_sum(values, "sum") == pytest.approx(total, rel=1e-14)
 
 
 class TestLatticeSumExact:
@@ -287,6 +287,19 @@ class TestScalingRateSweep:
         rep_g = min_dephasing_global_A(pair_rate_matrix(arr))
         assert pts_g[0].rate == pytest.approx(rep_g.per_clock[arr.center_index()],
                                               rel=1e-12)
+
+    @pytest.mark.parametrize("mode,case", [("pairwise", "A-free"), ("pairwise", "B-fixed"),
+                                           ("global", "A-free"), ("global", "B-fixed")])
+    def test_every_mode_and_case_is_its_closed_form_minimum(self, mode, case):
+        # the centre-rate table against the N-clock closed forms, no absolute floor
+        from ccgclocks.geometry import pair_rate_matrix
+        from ccgclocks.rates import _CLOSED_FORMS
+
+        arr = build_lattice(2, 1e-6, [5, 5], W15)
+        rep = _CLOSED_FORMS[mode, case](pair_rate_matrix(arr))
+        pts = scaling_rate_sweep(2, mode, case, W15, L_c=1e-6, sides=[5])
+        np.testing.assert_allclose(pts[0].rate, rep.per_clock[arr.center_index()],
+                                   rtol=1e-12, atol=0)
 
     def test_even_sides_rejected(self):
         with pytest.raises(ValueError, match="odd"):

@@ -191,6 +191,8 @@ def test_clock_spec_validation():
         ClockSpec(W15, (0, 0, float("inf")))
     with pytest.raises(ValueError):
         ClockSpec(W15, (0, 0, 0), rest_mass=0.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        ClockSpec(W15, (0, 0, 0), rest_mass=float("inf"))
 
 
 # -- one construction path: ClockArray owns every per-clock rule -----------------
