@@ -75,8 +75,9 @@ class ClockArray:
     def __init__(self, omegas, positions, rest_masses=None,
                  lattice: LatticeInfo | None = None,
                  convention: FrequencyConvention | str = DEFAULT_CONVENTION):
-        omegas = np.asarray(omegas, dtype=float).reshape(-1)
-        positions = np.asarray(positions, dtype=float)
+        # copies: freezing them below leaves the caller's arrays writeable
+        omegas = np.array(omegas, dtype=float).reshape(-1)
+        positions = np.array(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")
         if len(omegas) != len(positions):
@@ -90,7 +91,7 @@ class ClockArray:
         if rest_masses is not None:
             # one entry per clock, None meaning "no mass": all clocks or none
             given = sum(m is not None for m in rest_masses)
-            masses = np.asarray(rest_masses, dtype=float).reshape(-1)
+            masses = np.array(rest_masses, dtype=float).reshape(-1)
             if len(masses) != len(omegas):
                 raise ValueError("rest_masses must match the number of clocks")
             if given not in (0, len(omegas)):

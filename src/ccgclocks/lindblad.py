@@ -43,6 +43,10 @@ from .rates import _CLOSED_FORMS, MeasurementRates, dephasing_given_rates
 DENSE_CLOCK_LIMIT = 12       # 2^N density matrices
 NUMERIC_CLOCK_LIMIT = 10     # 4^N superoperator diagonal
 EXPORT_CLOCK_LIMIT = 4       # density matrices written as JSON
+# cells of one (samples, N, N) block of product_state_coherence, whose two
+# complex buffers then take 256 KiB each (one sample, N^2 cells, past N = 128);
+# larger blocks measured no faster
+_COHERENCE_BLOCK_CELLS = 2 ** 14
 
 _NAMED_KETS = {
     "zero": np.array([1.0, 0.0], dtype=complex),
@@ -212,10 +216,11 @@ class EvolutionModel:
     def __post_init__(self):
         if self.kind not in ("unitary", "ccg-pairwise", "ccg-global"):
             raise ValueError(f"unknown evolution kind {self.kind!r}")
-        w = np.asarray(self.omegas, dtype=float).reshape(-1)
+        # copies: freezing them below leaves the caller's arrays writeable
+        w = np.array(self.omegas, dtype=float).reshape(-1)
         n = len(w)
-        g = np.asarray(self.coupling, dtype=float)
-        m = np.asarray(self.dephasing, dtype=float)
+        g = np.array(self.coupling, dtype=float)
+        m = np.array(self.dephasing, dtype=float)
         if not all(np.all(np.isfinite(a)) for a in (w, g, m)):
             raise ValueError("omegas, coupling and dephasing must be finite")
         if g.shape != (n, n) or not np.allclose(g, g.T, rtol=0, atol=0):
@@ -266,21 +271,24 @@ class EvolutionModel:
             reference = float(np.max(self.coupling))
         if not reference > 0:
             raise ValueError("reference rate must be positive")
-        return EvolutionModel(
-            kind=self.kind,
-            omegas=self.omegas / reference,
-            coupling=self.coupling / reference,
-            dephasing=self.dephasing / reference,
-            interaction_sign=self.interaction_sign,
-            time_unit=1.0 / reference,
-        )
+        with np.errstate(over="ignore"):  # an overflow is refused as not finite
+            return EvolutionModel(
+                kind=self.kind,
+                omegas=self.omegas / reference,
+                coupling=self.coupling / reference,
+                dephasing=self.dephasing / reference,
+                interaction_sign=self.interaction_sign,
+                time_unit=1.0 / reference,
+            )
 
 
 def _global_dephasing_matrix(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     m = np.diag(gamma / 2.0).astype(float)
-    for j in range(len(gamma)):
-        b = g[:, j]  # zero at j: the coupling diagonal is zero
-        m += np.outer(b, b) / (8.0 * gamma[j])
+    # an overflow, and inf * 0 after it, leave M non-finite: the model refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(gamma)):
+            b = g[:, j]  # zero at j: the coupling diagonal is zero
+            m += np.outer(b, b) / (8.0 * gamma[j])
     return m
 
 
@@ -516,19 +524,34 @@ def product_state_coherence(model: EvolutionModel, qubit_states, times) -> Coher
     its decay is exp(-4 M_ii t) for every kind (the correlated global M
     included) and the other clocks enter only through their populations.
     O(N) per clock and time sample, with no 2^N object and no size limit.
+    The samples are taken in blocks of _COHERENCE_BLOCK_CELLS // N^2, each one
+    broadcast expression whose entries are computed as for a single sample.
     """
     states = [qubit_state(s) for s in qubit_states]
     times = _check_propagation(len(states), model, times)
+    n = model.n_clocks
     pops = np.array([np.real(s[0, 0]) for s in states])
+    unpops = 1.0 - pops
     cohs = np.abs([s[1, 0] for s in states])
-    mags = np.empty((len(times), model.n_clocks))
-    for k, t in enumerate(times):
-        # env[i, j]: clock j's population-weighted phase kick on clock i
-        phase = np.exp(2j * model.interaction_sign * model.coupling * t)
-        env = pops * phase + (1.0 - pops) / phase
-        np.fill_diagonal(env, 1.0)
-        mags[k] = cohs * np.exp(-4.0 * model.per_clock_dephasing * t) \
-            * np.abs(env.prod(axis=1))
+    kick = 2j * model.interaction_sign * model.coupling
+    decay = -4.0 * np.diag(model.dephasing)
+    diagonal = np.arange(n)
+    block = max(1, _COHERENCE_BLOCK_CELLS // max(1, n * n))
+    # two buffers, reused by every block
+    phases = np.empty((min(block, len(times)), n, n), dtype=complex)
+    envs = np.empty_like(phases)
+    mags = np.empty((len(times), n))
+    for start in range(0, len(times), block):
+        t = times[start:start + block]
+        phase, env = phases[:len(t)], envs[:len(t)]
+        np.exp(np.multiply(kick, t[:, None, None], out=phase), out=phase)
+        # env[k, i, j]: clock j's population-weighted phase kick on clock i at
+        # t[k], p_j phase + (1 - p_j) / phase (an IEEE sum is commutative)
+        np.divide(unpops, phase, out=env)
+        env += np.multiply(pops, phase, out=phase)
+        env[:, diagonal, diagonal] = 1.0
+        mags[start:start + block] = cohs * np.exp(decay * t[:, None]) \
+            * np.abs(env.prod(axis=2))
     return CoherenceTrace(times=times, magnitudes=mags)
 
 

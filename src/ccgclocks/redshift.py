@@ -110,19 +110,25 @@ class RedshiftDephasing:
         object.__setattr__(self, "convention",
                            FrequencyConvention.parse(self.convention))
 
-    def to_json_dict(self) -> dict:
+    def _json_fields(self) -> dict:
+        """to_json_dict() with a finite diffusion array as an array."""
         out = {
             "total_hz": float(self.total),
             "measurement_part_hz": float(self.measurement_part),
             "feedback_part_hz": float(self.feedback_part),
             "convention": self.convention.value,
         }
-        if self.position_diffusion is not None:
+        diffusion = self.position_diffusion
+        if diffusion is not None:
             # strict JSON has no infinity; Gamma_z = 0 diffusion is "inf"
-            out["position_diffusion_hz_per_m2"] = [
-                float(x) if math.isfinite(x) else "inf"
-                for x in self.position_diffusion]
+            out["position_diffusion_hz_per_m2"] = (
+                diffusion if np.isfinite(diffusion).all()
+                else [x if math.isfinite(x) else "inf" for x in diffusion.tolist()])
         return out
+
+    def to_json_dict(self) -> dict:
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in self._json_fields().items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
@@ -183,8 +189,12 @@ def shell_dephasing(inner_radius: float, outer_radius: float, omega,
     """Closed-form clock dephasing from a shell of matter around the clock."""
     ShellShape(inner_radius, outer_radius)  # the radii rule
     gz = _clock_rate(gamma_z)
-    feedback = (math.pi * CONSTANTS.G * CONSTANTS.hbar * float(omega) ** 2
-                / (2.0 * CONSTANTS.c ** 4)) * (1.0 / inner_radius - 1.0 / outer_radius)
+    try:
+        feedback = (math.pi * CONSTANTS.G * CONSTANTS.hbar * float(omega) ** 2
+                    / (2.0 * CONSTANTS.c ** 4)) * (1.0 / inner_radius - 1.0 / outer_radius)
+    except OverflowError:  # a float w^2 overflows
+        raise ValueError(f"angular frequency {float(omega)!r} squared is out of the "
+                         "float range") from None
     return RedshiftDephasing(total=gz / 2.0 + feedback,
                              measurement_part=gz / 2.0,
                              feedback_part=feedback,
@@ -207,7 +217,14 @@ def composite_dephasing(body: CompositeBody, clock_position, omega, gamma_z, *,
                                omega, gamma_z, convention=convention)
     gamma = gamma_atoms if gamma_atoms is not None else internal_measurement_rate(
         body.atom_mass, body.lattice_constant)
-    d = np.linalg.norm(body.shape.positions - np.asarray(clock_position, dtype=float), axis=1)
+    clock = np.asarray(clock_position, dtype=float)
+    if clock.shape != (3,) or not np.all(np.isfinite(clock)):
+        raise ValueError("clock position must be three finite coordinates")
+    with np.errstate(over="ignore"):  # an overflowing distance is refused below
+        d = np.linalg.norm(body.shape.positions - clock, axis=1)
+    if not np.all(np.isfinite(d)):
+        k = int(np.argmin(np.isfinite(d)))
+        raise ValueError(f"the distance from the clock to atom {k} is not finite")
     exclusion = body.lattice_constant / 2.0
     if np.any(d < exclusion):
         k = int(np.argmin(d))

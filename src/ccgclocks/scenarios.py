@@ -685,7 +685,7 @@ def _run_redshift(params, convention, stem, fmt):
                              ExplicitAtoms(np.array(body["positions"], float)))
         result = composite_dephasing(comp, body["clock_position"], omega, gz,
                                      convention=convention)
-    payload = {"meta": _meta(convention), "dephasing": result.to_json_dict()}
+    payload = {"meta": _meta(convention), "dephasing": result._json_fields()}
     return {f"{stem}.json": _json_bytes(payload)}
 
 

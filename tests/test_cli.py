@@ -441,6 +441,14 @@ NON_FINITE_CONFIGS = {
         REDSHIFT_SIMPLE["parameters"], gamma_clock=math.nan))),
     "gamma_clock_inf": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
         REDSHIFT_SIMPLE["parameters"], gamma_clock=math.inf))),
+    # a finite frequency whose square overflows
+    "shell_frequency_overflow": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
+        REDSHIFT_SIMPLE["parameters"], quoted_frequency=1e200, body={
+            "kind": "shell", "inner_radius": 0.5, "outer_radius": 2.0}))),
+    "crystal_clock_position_inf": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
+        REDSHIFT_SIMPLE["parameters"], body={
+            "kind": "crystal", "atom_mass": 1e-25, "lattice_constant": 1e-9,
+            "positions": [[1e-6, 0, 0]], "clock_position": [math.inf, 0, 0]}))),
     # a finite coupling whose square overflows
     "simple_body_overflow": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
         REDSHIFT_SIMPLE["parameters"], body=dict(

@@ -283,3 +283,16 @@ def test_rest_masses_are_finite_positive_and_all_or_none():
     with pytest.raises(ValueError, match="either all clocks carry a rest mass or none do"):
         ClockArray.from_json(json.dumps(partial))
     assert ClockArray([W15.value] * 2, pos, rest_masses=[None, None]).rest_masses is None
+
+
+def test_clock_array_leaves_the_callers_arrays_writeable():
+    omegas, pos, masses = np.full(2, W15.value), np.array([[0, 0, 0], [1e-6, 0, 0.0]]), \
+        np.array([1e-25, 2e-25])
+    arr = ClockArray(omegas, pos, rest_masses=masses)
+    for given_array in (omegas, pos, masses):
+        assert given_array.flags.writeable
+    omegas[0], pos[1, 0], masses[0] = 0.0, 5.0, 1.0
+    assert (arr.omegas[0], arr.positions[1, 0], arr.rest_masses[0]) == \
+        (W15.value, 1e-6, 1e-25)
+    for kept in (arr.omegas, arr.positions, arr.rest_masses):
+        assert not kept.flags.writeable

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccgclocks.geometry import ClockArray, build_lattice, pair_rate_matrix
+from ccgclocks import lindblad
+from ccgclocks.geometry import ClockArray, PairRateMatrix, build_lattice, pair_rate_matrix
 from ccgclocks.lindblad import (
     CoherenceTrace,
     DensityMatrix,
@@ -26,6 +27,13 @@ from ccgclocks.lindblad import (
 from ccgclocks.rates import _CLOSED_FORMS, MeasurementRates, min_dephasing_pairwise_A
 
 G2 = [[0.0, 1.0], [1.0, 0.0]]
+
+
+def approx(expected, rel, abs=0.0):
+    """pytest.approx without its default 1e-12 absolute tolerance, under which
+    any two values below 1e-12 compare equal (SI rates here are near 1e-42 Hz);
+    an absolute tolerance is passed where one is meant."""
+    return pytest.approx(expected, rel=rel, abs=abs)
 
 
 def ccg2(kind="ccg-pairwise"):
@@ -75,17 +83,40 @@ QUBIT_FORMS = st.lists(st.sampled_from(("name", "ket", "matrix")),
                        min_size=8, max_size=8)
 
 
+def per_sample_coherence(model, states, times):
+    """The product-state coherence kernel run one time sample at a time."""
+    rhos = [qubit_state(s) for s in states]
+    pops = np.array([np.real(s[0, 0]) for s in rhos])
+    cohs = np.abs([s[1, 0] for s in rhos])
+    rows = []
+    for t in times:
+        phase = np.exp(2j * model.interaction_sign * model.coupling * t)
+        env = pops * phase + (1.0 - pops) / phase
+        np.fill_diagonal(env, 1.0)
+        rows.append(cohs * np.exp(-4.0 * model.per_clock_dephasing * t)
+                    * np.abs(env.prod(axis=1)))
+    return np.array(rows)
+
+
+def outer_product_dephasing(g, gamma):
+    """The global channel's M as its defining sum of N outer products."""
+    m = np.diag(gamma / 2.0)
+    for j in range(len(gamma)):
+        m += np.outer(g[:, j], g[:, j]) / (8.0 * gamma[j])
+    return m
+
+
 class TestDensityMatrix:
     def test_named_product_states(self):
         rho = DensityMatrix.from_qubit_states(["plus", "zero"])
         assert rho.dim == 4
-        assert rho.purity() == pytest.approx(1.0)
-        assert np.trace(rho.matrix) == pytest.approx(1.0)
+        assert rho.purity() == approx(1.0, rel=1e-6)
+        assert np.trace(rho.matrix) == approx(1.0, rel=1e-6)
 
     def test_ket_and_matrix_inputs(self):
         ket = np.array([1.0, 1.0j]) / math.sqrt(2)
         rho = DensityMatrix.from_qubit_states([ket, np.eye(2) / 2])
-        assert rho.purity() == pytest.approx(0.5)
+        assert rho.purity() == approx(0.5, rel=1e-6)
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -140,7 +171,7 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.to_json_dict()
         d = DensityMatrix.from_qubit_states(["plus"]).to_json_dict()
-        assert d["real"][0][1] == pytest.approx(0.5)
+        assert d["real"][0][1] == approx(0.5, rel=1e-6)
 
 
 class TestBuildModel:
@@ -158,7 +189,7 @@ class TestBuildModel:
         gam = np.array([[0.0, g / 2], [g / 2, 0.0]])
         model = build_model(arr, MeasurementRates("pairwise", pairwise_gamma=gam))
         assert model.kind == "ccg-pairwise"
-        assert model.per_clock_dephasing == pytest.approx([g / 2, g / 2], rel=1e-12)
+        assert model.per_clock_dephasing == approx([g / 2, g / 2], rel=1e-12)
 
     def test_three_clock_global_matches_channel_formula(self):
         arr = build_lattice(1, 1e-6, [3], 1e15)
@@ -169,7 +200,7 @@ class TestBuildModel:
         for i in range(3):
             expected = gam[i] / 2 + sum(
                 g[i, j] ** 2 / (8 * gam[j]) for j in range(3) if j != i)
-            assert model.per_clock_dephasing[i] == pytest.approx(expected, rel=1e-12)
+            assert model.per_clock_dephasing[i] == approx(expected, rel=1e-12)
 
     def test_size_limits(self):
         # models have no size cap; the 2^N limit fires where a dense state
@@ -256,6 +287,51 @@ class TestBuildModel:
                 assert getattr(model, field).tobytes() == getattr(scaled, field).tobytes()
             assert (model.time_unit, scaled.time_unit) == (None, 1.0)
 
+    @pytest.mark.parametrize("optimal", [False, True])
+    @pytest.mark.parametrize("n, spread", [(2, 0), (3, 0), (5, 0), (8, 0), (13, 0),
+                                           (40, 0), (8, 20), (30, 20)])
+    def test_channel_built_global_dephasing(self, n, spread, optimal):
+        # couplings uniform in [0.1, 1], times 10^x for x uniform in [-spread, spread]
+        rng = np.random.default_rng(n + spread)
+        scale = 10.0 ** rng.uniform(-spread, spread, (n, n))
+        g = np.triu(rng.uniform(0.1, 1.0, (n, n)) * scale, 1)
+        g += g.T
+        gamma = (_CLOSED_FORMS[("global", "A-free")](PairRateMatrix(g)).optimal_rates
+                 .global_gamma if optimal else rng.uniform(0.3, 1.5, n) * g.max())
+        model = dimensionless_model(g, kind="ccg-global",
+                                    rates=MeasurementRates("global", global_gamma=gamma))
+        m = model.dephasing
+        assert m.tobytes() == m.T.tobytes()
+        # the per-clock rates and couplings of simulate.json and simulate_rho.json
+        assert m.tobytes() == outer_product_dephasing(g, gamma).tobytes()
+        rebuilt = EvolutionModel(kind="ccg-global", omegas=model.omegas,
+                                 coupling=model.coupling, dephasing=m)
+        assert rebuilt.dephasing.tobytes() == m.tobytes()
+
+    def test_overflowing_channel_models_are_refused_without_a_warning(self):
+        # g^2 / 8 Gamma and a division by the reference overflow
+        rates = MeasurementRates("global", global_gamma=np.array([1e-300, 1e-300]))
+        with pytest.raises(ValueError, match="must be finite"):
+            dimensionless_model([[0.0, 1e200], [1e200, 0.0]], kind="ccg-global",
+                                rates=rates)
+        with pytest.raises(ValueError, match="must be finite"):
+            ccg2("ccg-global").nondimensionalized(1e-320)
+        with pytest.raises(ValueError, match="symmetric N x N"):
+            dimensionless_model(G2, omegas=[0.0, 1.0, 2.0])
+
+    def test_constructors_leave_the_callers_arrays_writeable(self):
+        w, g, m = np.zeros(2), np.array(G2), np.eye(2)
+        model = EvolutionModel(kind="ccg-global", omegas=w, coupling=g, dephasing=m)
+        built = dimensionless_model(g, kind="ccg-global", omegas=w)
+        for arr in (w, g, m):
+            assert arr.flags.writeable
+        w[0], g[0, 1], m[0, 0] = 5.0, 7.0, 9.0
+        assert (model.omegas[0], model.coupling[0, 1], model.dephasing[0, 0]) == (0.0, 1.0, 1.0)
+        assert (built.omegas[0], built.coupling[0, 1]) == (0.0, 1.0)
+        for frozen in (model, built):
+            for field in ("omegas", "coupling", "dephasing"):
+                assert not getattr(frozen, field).flags.writeable
+
     def test_unitary_kind_must_have_zero_dephasing(self):
         with pytest.raises(ValueError):
             EvolutionModel(kind="unitary", omegas=np.zeros(2),
@@ -283,7 +359,7 @@ class TestEvolveExact:
                                coupling=np.zeros((1, 1)),
                                dephasing=np.array([[d]]))
         out = evolve_exact(DensityMatrix.from_qubit_states(["plus"]), model, 0.7)
-        assert abs(out.matrix[0, 1]) == pytest.approx(
+        assert abs(out.matrix[0, 1]) == approx(
             0.5 * math.exp(-factor * d * 0.7), rel=1e-12)
 
     def test_two_clock_optimum_decay_rate_is_2g(self):
@@ -291,7 +367,7 @@ class TestEvolveExact:
         times = np.linspace(0.0, 3.0, 31)
         trace = simulate_coherence(model, ["plus", "zero"], times)
         rate = float(coherence_decay_rate(trace, clock=0))
-        assert rate == pytest.approx(2.0, abs=1e-9)
+        assert rate == approx(2.0, rel=0.0, abs=1e-9)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(4)
@@ -355,7 +431,7 @@ class TestEvolveNumeric:
                                     omegas=[0.5, 1.0])
         rho = DensityMatrix.all_plus(2)
         out = evolve_numeric(rho, model, 3.0, dt=1e-3)
-        assert out.rho.purity() == pytest.approx(1.0, abs=1e-10)
+        assert out.rho.purity() == approx(1.0, rel=0.0, abs=1e-10)
 
     def test_free_dephasing_qubit_matches_analytic(self):
         d = 0.4
@@ -364,7 +440,7 @@ class TestEvolveNumeric:
                                dephasing=np.array([[d]]))
         rho = DensityMatrix.from_qubit_states(["plus"])
         out = evolve_numeric(rho, model, 2.0, dt=1e-4)
-        assert abs(out.rho.matrix[0, 1]) == pytest.approx(
+        assert abs(out.rho.matrix[0, 1]) == approx(
             0.5 * math.exp(-4 * d * 2.0), rel=1e-9)
 
     def test_rejects_too_large_step(self):
@@ -446,7 +522,7 @@ class TestCoherence:
     def test_single_clock_coherence_of_plus(self):
         rho = DensityMatrix.from_qubit_states(["plus", "zero", "one"])
         c = single_clock_coherences(rho)
-        assert c == pytest.approx([0.5, 0.0, 0.0], abs=1e-15)
+        assert c == approx([0.5, 0.0, 0.0], rel=0.0, abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.sampled_from(KINDS), st.sampled_from((-1.0, 1.0)),
@@ -459,6 +535,25 @@ class TestCoherence:
         closed = product_state_coherence(model, states, times)
         dense = simulate_coherence(model, DensityMatrix.from_qubit_states(states), times)
         assert np.allclose(closed.magnitudes, dense.magnitudes, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("cells", ["1", "3 N^2", "2^40"])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from(KINDS), st.sampled_from((-1.0, 1.0)),
+           st.lists(st.sampled_from(("name", "ket", "matrix")), min_size=12, max_size=12),
+           st.lists(st.floats(0.0, 50.0), min_size=1, max_size=10),
+           st.integers(0, 2**31 - 1))
+    def test_every_row_is_the_single_sample_kernel(self, cells, n, kind, sign, forms,
+                                                   times, seed):
+        # blocks of one sample, of three (the last one short) and one block
+        rng = np.random.default_rng(seed)
+        model = dataclasses.replace(random_model(rng, n, kind), interaction_sign=sign)
+        states = [random_qubit(rng, f) for f in forms[:n]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lindblad, "_COHERENCE_BLOCK_CELLS",
+                          {"1": 1, "3 N^2": 3 * n * n, "2^40": 2**40}[cells])
+            trace = product_state_coherence(model, states, times)
+        assert trace.magnitudes.tobytes() == \
+            per_sample_coherence(model, states, times).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 3),
@@ -491,7 +586,7 @@ class TestCoherence:
         model = dimensionless_model(np.zeros((2, 2)), kind="unitary", rates=None,
                                     omegas=[1.0, 2.0])
         trace = simulate_coherence(model, ["plus", "plus"], np.linspace(0, 2, 15))
-        assert float(coherence_decay_rate(trace, clock=0)) == pytest.approx(0.0, abs=1e-12)
+        assert float(coherence_decay_rate(trace, clock=0)) == approx(0.0, rel=0.0, abs=1e-12)
 
     def test_decay_rate_needs_ten_samples(self):
         trace = simulate_coherence(ccg2(), ["plus", "zero"], np.linspace(0, 1, 5))
@@ -526,8 +621,8 @@ class TestNegativity:
                         pt[2 * a + b, 2 * c + d] = rho[2 * a + d, 2 * c + b]
         eigs = np.linalg.eigvalsh(pt)
         by_hand = float(-eigs[eigs < 0].sum())
-        assert by_hand == pytest.approx(0.5, abs=1e-12)
-        assert negativity(DensityMatrix(rho), [1]) == pytest.approx(by_hand, abs=1e-12)
+        assert by_hand == approx(0.5, rel=0.0, abs=1e-12)
+        assert negativity(DensityMatrix(rho), [1]) == approx(by_hand, rel=0.0, abs=1e-12)
 
     def test_ccg_two_clock_grid_stays_separable(self):
         model = ccg2()
@@ -613,8 +708,8 @@ class TestStructuralProperties:
         loss_uni = 1.0 - uni.magnitudes[:, 0] / 0.5
         slope_ccg = np.polyfit(np.log(times), np.log(loss_ccg), 1)[0]
         slope_uni = np.polyfit(np.log(times), np.log(loss_uni), 1)[0]
-        assert slope_ccg == pytest.approx(1.0, abs=0.05)
-        assert slope_uni == pytest.approx(2.0, abs=0.05)
+        assert slope_ccg == approx(1.0, rel=0.0, abs=0.05)
+        assert slope_uni == approx(2.0, rel=0.0, abs=0.05)
 
     def test_closed_form_coherences_past_the_dense_limit(self):
         # 14 clocks: dense 2^N states are out of reach, the closed-form
@@ -627,7 +722,7 @@ class TestStructuralProperties:
         assert trace.magnitudes.shape == (7, 14)
         assert np.all(np.isfinite(trace.magnitudes))
         # eigenstate environment and zero dephasing: clock 0 keeps |c| = 1/2
-        assert trace.magnitudes[:, 0] == pytest.approx([0.5] * 7, abs=1e-12)
+        assert trace.magnitudes[:, 0] == approx([0.5] * 7, rel=0.0, abs=1e-12)
         with pytest.raises(ValueError, match="limited to 12 clocks"):
             evolve_exact(DensityMatrix.all_plus(2), model, 1.0)
 
@@ -645,7 +740,7 @@ class TestStructuralProperties:
         states[c] = "plus"
         times = np.linspace(0.0, 2.0 / want, 11)
         trace = product_state_coherence(model, states, times)
-        assert float(coherence_decay_rate(trace, clock=c)) == pytest.approx(want, rel=1e-9)
+        assert float(coherence_decay_rate(trace, clock=c)) == approx(want, rel=1e-9)
 
     def test_nondimensionalization_records_unit_map(self):
         arr = ClockArray([1e15, 1e15], [[0, 0, 0], [3e-7, 0, 0]])
@@ -654,6 +749,6 @@ class TestStructuralProperties:
         gam = np.array([[0.0, g / 2], [g / 2, 0.0]])
         model = build_model(arr, MeasurementRates("pairwise", pairwise_gamma=gam))
         scaled = model.nondimensionalized()
-        assert scaled.coupling[0, 1] == pytest.approx(1.0, rel=1e-12)
-        assert scaled.time_unit == pytest.approx(1.0 / g, rel=1e-12)
-        assert scaled.per_clock_dephasing == pytest.approx([0.5, 0.5], rel=1e-12)
+        assert scaled.coupling[0, 1] == approx(1.0, rel=1e-12)
+        assert scaled.time_unit == approx(1.0 / g, rel=1e-12)
+        assert scaled.per_clock_dephasing == approx([0.5, 0.5], rel=1e-12)

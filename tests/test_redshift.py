@@ -316,6 +316,39 @@ def test_overflowing_simple_body_is_loud():
         bound_parameters(1e-300, 1e200, 1.0, 1e15)
 
 
+def test_shell_frequency_squared_overflow_is_typed():
+    with pytest.raises(ValueError, match="squared is out of the float range"):
+        shell_dephasing(0.5, 2.0, 1e200, 1e-4)
+
+
+@pytest.mark.parametrize("clock", [(math.inf, 0, 0), (0, math.nan, 0), (0, 0)])
+def test_clock_position_must_be_three_finite_coordinates(clock):
+    body = CompositeBody(1.0, 0.1, ExplicitAtoms(np.array([[1.0, 0, 0]])))
+    with pytest.raises(ValueError, match="clock position must be three finite"):
+        composite_dephasing(body, clock, W15, 0.1)
+
+
+def test_overflowing_clock_atom_distance_is_refused():
+    # finite coordinates whose distance overflows: no warning, a typed error
+    body = CompositeBody(1.0, 0.1, ExplicitAtoms(np.array([[1.0, 0, 0], [1e160, 0, 0]])))
+    with pytest.raises(ValueError, match="distance from the clock to atom 1 is not finite"):
+        composite_dephasing(body, (0, 0, 0), W15, 0.1)
+
+
+@pytest.mark.parametrize("gz", [0.5, 0.0])
+def test_json_fields_write_the_to_json_dict_bytes(gz):
+    from ccgclocks.scenarios import _json_bytes
+
+    body = CompositeBody(1.0, 0.25, ExplicitAtoms(shell_atoms(0.5, 1.0, 0.25)))
+    out = composite_dephasing(body, (0, 0, 0), W15, gz)
+    fields = out._json_fields()
+    diffusion = fields["position_diffusion_hz_per_m2"]
+    # a finite diffusion goes to the array writer as an array, gz = 0 as "inf"s
+    assert isinstance(diffusion, np.ndarray if gz else list) and len(diffusion) >= 64
+    assert _json_bytes({"dephasing": fields}) == (json.dumps(
+        {"dephasing": out.to_json_dict()}, sort_keys=True, indent=2) + "\n").encode()
+
+
 def test_infinite_diffusion_is_strict_json():
     out = simple_particle_dephasing(1.0, 1.0, 1e15, 1.0, 0.0)
     text = out.to_json()
