@@ -26,6 +26,9 @@ from .constants import (
 )
 
 _PAIR_MATRIX_LIMIT = 4096
+_PAIR_BLOCK_ROWS = 32
+# a squared distance below the smallest normal float has lost its precision
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,7 @@ class PairRateMatrix:
             raise ValueError("pair rates must be finite")
         if np.any(np.abs(np.diag(g)) != 0):
             raise ValueError("pair rate matrix must have an exactly zero diagonal")
-        if not np.allclose(g, g.T, rtol=0, atol=0):
+        if not np.array_equal(g, g.T):
             raise ValueError("pair rate matrix must be exactly symmetric")
         if np.any(g < 0):
             raise ValueError("pair rates must be non-negative")
@@ -274,20 +277,54 @@ def pair_interaction_rate(clock1: ClockSpec, clock2: ClockSpec) -> Rate:
 
 
 def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
-    """Full symmetric matrix of pair interaction rates for an array."""
+    """Full symmetric matrix of pair interaction rates for an array.
+
+    The rows are formed in blocks of `_PAIR_BLOCK_ROWS`, in place in the
+    result, so memory beyond it is O(N) per row. A squared distance that
+    under- or overflows is taken again from the scaled difference, so clocks
+    1e-170 m or 1e200 m apart get their representable rate.
+    """
     n = len(array)
     if n > _PAIR_MATRIX_LIMIT:
         raise ValueError(
             f"pair rate matrix for N={n} clocks exceeds the dense limit "
             f"({_PAIR_MATRIX_LIMIT}); use the continuum module for large arrays")
-    pos = array.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    off_diag = ~np.eye(n, dtype=bool)
-    if np.any(d[off_diag] == 0.0):
-        i, j = np.argwhere((d == 0.0) & off_diag)[0]
-        raise ValueError(f"clocks {i} and {j} are coincident")
-    with np.errstate(divide="ignore"):
-        g = G_HBAR_OVER_C4 * np.outer(array.omegas, array.omegas) / d
-    g[~off_diag] = 0.0
+    pos, omegas = array.positions, array.omegas
+    g = np.empty((n, n))
+    rows = min(n, _PAIR_BLOCK_ROWS)
+    diffs, ww = np.empty((rows, n, 3)), np.empty((rows, n))  # one block's buffers
+    # an overflowing distance or rate is refused below or by PairRateMatrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _PAIR_BLOCK_ROWS):
+            stop = min(start + _PAIR_BLOCK_ROWS, n)
+            d, diff, w = g[start:stop], diffs[:stop - start], ww[:stop - start]
+            diagonal = (np.arange(stop - start), np.arange(start, stop))
+            np.subtract(pos[start:stop, None, :], pos[None, :, :], out=diff)
+            np.einsum("ijk,ijk->ij", diff, diff, out=d)
+            d[diagonal] = 1.0  # set aside
+            bad = None
+            if d.min() < _TINY or d.max() == np.inf:
+                bad = np.nonzero((d < _TINY) | (d == np.inf))
+            np.sqrt(d, out=d)
+            if bad is not None:
+                d[bad] = _scaled_norm(diff[bad])
+            if not d.all():
+                i, j = np.argwhere(d == 0.0)[0]
+                raise ValueError(f"clocks {start + i} and {j} are coincident")
+            if not d.max() < np.inf:
+                i, j = np.argwhere(~np.isfinite(d))[0]
+                raise ValueError(f"the distance between clocks {start + i} and {j} "
+                                 "is out of the float range")
+            np.multiply.outer(omegas[start:stop], omegas, out=w)
+            np.multiply(G_HBAR_OVER_C4, w, out=w)
+            np.divide(w, d, out=d)
+            d[diagonal] = 0.0
     return PairRateMatrix(g, convention=array.convention)
+
+
+def _scaled_norm(v: np.ndarray) -> np.ndarray:
+    """Lengths of the rows of v, scaled by max|v| so no square under- or
+    overflows; a zero row has length 0."""
+    s = np.abs(v).max(axis=1)
+    u = v / np.where(s > 0, s, 1.0)[:, None]
+    return s * np.sqrt(np.einsum("ij,ij->i", u, u))

@@ -195,7 +195,10 @@ def shell_dephasing(inner_radius: float, outer_radius: float, omega,
     except OverflowError:  # a float w^2 overflows
         raise ValueError(f"angular frequency {float(omega)!r} squared is out of the "
                          "float range") from None
-    return RedshiftDephasing(total=gz / 2.0 + feedback,
+    total = gz / 2.0 + feedback  # a float product or sum overflows to inf
+    if not math.isfinite(total):
+        raise ValueError("the shell's dephasing rate is out of the float range")
+    return RedshiftDephasing(total=total,
                              measurement_part=gz / 2.0,
                              feedback_part=feedback,
                              convention=convention)

@@ -20,7 +20,10 @@ distinct bit pattern once. That gives the same bytes, because json spells a
 float by its shortest round-trip repr, a function of the float's bits alone.
 Rate matrices repeat few values (lattice distances, a B-fixed scalar, the
 two halves of a symmetric matrix), so a large one costs about one repr per
-distinct value.
+distinct value. A JSON artifact is formatted as it is written, in chunks of
+bounded size, so no artifact is held whole in memory; the files of one
+convention are written all or nothing, so a refusal partway through a file
+removes that convention's files.
 """
 
 from __future__ import annotations
@@ -427,9 +430,12 @@ _SCALARS = {int, float, str, bool, type(None)}
 _dumps = json.JSONEncoder(allow_nan=False).encode
 
 # an array of fewer cells is written as its list: the C encoder formats so
-# few floats faster than np.unique finds the distinct ones, and a process that
-# writes only small arrays never maps np.unique's kernels (1.7 MB of RSS)
+# few floats faster than a sort finds the distinct ones
 _UNIQUE_MIN_CELLS = 64
+# a large array is written in blocks of about this many cells, and an
+# artifact is written in chunks of about this many characters
+_BLOCK_CELLS = 2**11
+_CHUNK_CHARS = 2**16
 
 
 def _array_pieces(a: np.ndarray, newline: str):
@@ -437,31 +443,45 @@ def _array_pieces(a: np.ndarray, newline: str):
 
     json spells a float by its shortest round-trip repr, a function of its
     bits alone, so each distinct bit pattern is formatted once, by one
-    C-encoder call; comparing bits keeps -0.0 apart from 0.0. Each row is
-    gathered from those strings by a binary search of its bit patterns and
-    yielded on its own, so no N x N index or string array is kept.
+    C-encoder call; comparing bits keeps -0.0 apart from 0.0. Cells are
+    gathered from those strings by a binary search of their bit patterns, a
+    block of about `_BLOCK_CELLS` cells at a time, so no index or string array
+    of the whole array is kept.
     """
     if a.size < _UNIQUE_MIN_CELLS:
         yield from _json_pieces(a.tolist(), newline)
         return
     bits = a.view(np.int64)
-    distinct = np.unique(bits)
+    ordered = np.sort(bits, axis=None)
+    new = np.empty(ordered.size, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    del ordered, new
     spelled = np.array(_dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
                        dtype=object)
 
-    def line(row_bits, row_newline):
-        cell = row_newline + "  "
-        return ("[" + cell + ("," + cell).join(spelled[np.searchsorted(distinct, row_bits)])
-                + row_newline + "]")
+    def cells(block_bits):
+        return spelled[np.searchsorted(distinct, block_bits)]
 
-    if a.ndim == 1:
-        yield line(bits, newline)
-        return
     inner = newline + "  "
-    separator = "[" + inner
-    for row in bits:
-        yield separator + line(row, inner)
+    if a.ndim == 1:
         separator = "," + inner
+        opener = "[" + inner
+        for start in range(0, len(bits), _BLOCK_CELLS):
+            yield opener + separator.join(cells(bits[start:start + _BLOCK_CELLS]))
+            opener = separator
+        yield newline + "]"
+        return
+    cell = inner + "  "
+    separator = "," + cell
+    opener = "[" + inner
+    rows = max(1, _BLOCK_CELLS // bits.shape[1])
+    for start in range(0, len(bits), rows):
+        yield opener + ("," + inner).join(
+            "[" + cell + separator.join(row) + inner + "]"
+            for row in cells(bits[start:start + rows]))
+        opener = "," + inner
     yield newline + "]"
 
 
@@ -502,15 +522,27 @@ def _json_pieces(value, newline: str):
     yield brackets[0]
     separator = inner
     for prefix, item in entries:
-        yield separator + prefix
-        yield from _json_pieces(item, inner)
+        if type(item) in _SCALARS:  # one piece, without a nested generator
+            yield separator + prefix + _dumps(item)
+        else:
+            yield separator + prefix
+            yield from _json_pieces(item, inner)
         separator = "," + inner
     yield newline + brackets[1]
 
 
-def _json_bytes(payload: dict) -> bytes:
-    """Artifact bytes: sorted keys, two-space indentation, floats by repr."""
-    return ("".join(_json_pieces(payload, "\n")) + "\n").encode("utf-8")
+def _json_chunks(payload: dict):
+    """Artifact bytes in chunks of about `_CHUNK_CHARS`: sorted keys,
+    two-space indentation, floats by repr."""
+    batch, size = [], 0
+    for piece in _json_pieces(payload, "\n"):
+        batch.append(piece)
+        size += len(piece)
+        if size >= _CHUNK_CHARS:
+            yield "".join(batch).encode("utf-8")
+            batch, size = [], 0
+    batch.append("\n")
+    yield "".join(batch).encode("utf-8")
 
 
 def _meta(convention: FrequencyConvention | None) -> dict:
@@ -539,7 +571,7 @@ def emit_plot_data(entries) -> bytes:
     return _csv_bytes(rows)
 
 
-# -- per-kind runners (return {filename: bytes}) --------------------------------
+# -- per-kind runners (return {filename: bytes or an iterable of bytes}) ---------
 
 def _run_rates(params, convention, stem, fmt):
     array = _build_geometry(params["geometry"], convention)
@@ -554,7 +586,7 @@ def _run_rates(params, convention, stem, fmt):
     if fmt in ("csv", "both"):
         out[f"{stem}.csv"] = _csv_bytes(report.csv_rows())
     if fmt in ("json", "both"):
-        out[f"{stem}.json"] = _json_bytes(
+        out[f"{stem}.json"] = _json_chunks(
             {"meta": _meta(convention), "report": report._json_fields()})
     return out
 
@@ -567,7 +599,7 @@ def _run_optimize(params, convention, stem, fmt):
     if fmt in ("csv", "both"):
         out[f"{stem}.csv"] = _csv_bytes(report.csv_rows())
     if fmt in ("json", "both"):
-        out[f"{stem}.json"] = _json_bytes({
+        out[f"{stem}.json"] = _json_chunks({
             "meta": _meta(convention),
             "optimal_rates": rates._json_fields(),
             "achieved": report._json_fields(),
@@ -605,7 +637,7 @@ def _run_scaling(params, convention, stem, fmt):
         out[f"{stem}.csv"] = _csv_bytes(rows)
         out[f"{stem}_plot.csv"] = plot
     if fmt in ("json", "both"):
-        out[f"{stem}.json"] = _json_bytes({
+        out[f"{stem}.json"] = _json_chunks({
             "meta": _meta(convention),
             "dimension": dim, "mode": mode, "case": case,
             "fit": {"model": fit.model, "parameter": fit.parameter,
@@ -656,11 +688,11 @@ def _run_simulate(params, convention, stem, fmt):
     if fmt in ("csv", "both"):
         out[f"{stem}.csv"] = _csv_bytes(trace.csv_rows())
     if fmt in ("json", "both"):
-        out[f"{stem}.json"] = _json_bytes(summary)
+        out[f"{stem}.json"] = _json_chunks(summary)
     if export:
         final = evolve_exact(DensityMatrix.from_qubit_states(states), model,
                              float(times[-1]))
-        out[f"{stem}_rho.json"] = _json_bytes(
+        out[f"{stem}_rho.json"] = _json_chunks(
             {"meta": _meta(convention), "time": float(times[-1]),
              "rho": final.to_json_dict()})
     return out
@@ -686,7 +718,7 @@ def _run_redshift(params, convention, stem, fmt):
         result = composite_dephasing(comp, body["clock_position"], omega, gz,
                                      convention=convention)
     payload = {"meta": _meta(convention), "dephasing": result._json_fields()}
-    return {f"{stem}.json": _json_bytes(payload)}
+    return {f"{stem}.json": _json_chunks(payload)}
 
 
 def _run_paper_report(params, convention, stem, fmt):
@@ -697,7 +729,7 @@ def _run_paper_report(params, convention, stem, fmt):
     if fmt in ("csv", "both"):
         out[f"{stem}.csv"] = _csv_bytes(report.csv_rows())
     if fmt in ("json", "both"):
-        out[f"{stem}.json"] = _json_bytes(
+        out[f"{stem}.json"] = _json_chunks(
             {"meta": _meta(None), "report": report.to_json_dict()})
     return out
 
@@ -746,8 +778,18 @@ def run_scenario(config: dict | str | Path, out_dir: str | Path,
         conv_stem = stem if len(conventions) == 1 \
             else f"{stem}_{_CONVENTION_SUFFIX[conv]}"
         artifacts = runner(params, conv, conv_stem, fmt)
-        for name in sorted(artifacts):
-            path = out_dir / name
-            path.write_bytes(artifacts[name])
-            written.append(path)
+        opened = []
+        try:
+            for name in sorted(artifacts):
+                data, path = artifacts[name], out_dir / name
+                with path.open("wb") as f:
+                    opened.append(path)
+                    f.writelines([data] if isinstance(data, bytes) else data)
+        except BaseException:
+            # all or nothing for each convention: a JSON artifact is formatted
+            # as it is written, so a refusal can come partway through a file
+            for path in opened:
+                path.unlink(missing_ok=True)
+            raise
+        written += opened
     return written

@@ -15,6 +15,14 @@ from ccgclocks.cli import main
 from ccgclocks.report import atoms_for_target_rate, array_minimum_rate, paper_report
 from ccgclocks.scenarios import emit_plot_data, run_scenario, validate_scenario
 
+
+def approx(expected, rel, abs=0.0):
+    """pytest.approx without its default 1e-12 absolute tolerance, under which
+    any two values below 1e-12 compare equal (SI rates here are near 1e-42 Hz);
+    an absolute tolerance is passed where one is meant."""
+    return pytest.approx(expected, rel=rel, abs=abs)
+
+
 RATES_CONFIG = {
     "kind": "rates",
     "parameters": {
@@ -99,8 +107,8 @@ class TestRunScenario:
     def test_simulate_scenario_fits_rate_two(self, tmp_path):
         run_scenario(SIMULATE_CONFIG, tmp_path / "out")
         summary = json.loads((tmp_path / "out" / "simulate.json").read_text())
-        assert summary["fitted_decay_rate"] == pytest.approx(2.0, abs=1e-9)
-        assert summary["per_clock_dephasing"] == pytest.approx([0.5, 0.5])
+        assert summary["fitted_decay_rate"] == approx(2.0, rel=0, abs=1e-9)
+        assert summary["per_clock_dephasing"] == approx([0.5, 0.5], rel=1e-6)
 
     def test_both_conventions_emit_suffixed_files(self, tmp_path):
         cfg = dict(RATES_CONFIG, convention="both")
@@ -128,7 +136,7 @@ class TestRunScenario:
         from ccgclocks.rates import min_dephasing_global_A
         g = pair_rate_matrix(build_lattice(1, 1e-6, [4], 1e15))
         expected = min_dephasing_global_A(g).optimal_rates.global_gamma
-        assert got == pytest.approx(expected, rel=1e-6)
+        assert got == approx(expected, rel=1e-6)
 
     def test_scaling_scenario_outputs(self, tmp_path):
         cfg = {
@@ -155,8 +163,8 @@ class TestRunScenario:
         }
         run_scenario(shell, tmp_path / "out")
         payload = json.loads((tmp_path / "out" / "redshift.json").read_text())
-        assert payload["dephasing"]["feedback_part_hz"] == pytest.approx(
-            1.3550463302492074e-46)
+        assert payload["dephasing"]["feedback_part_hz"] == approx(
+            1.3550463302492074e-46, rel=1e-6)
 
         simple = {
             "kind": "redshift",
@@ -166,7 +174,7 @@ class TestRunScenario:
         }
         run_scenario(simple, tmp_path / "out2")
         payload = json.loads((tmp_path / "out2" / "redshift.json").read_text())
-        assert payload["dephasing"]["feedback_part_hz"] == pytest.approx(1e-4, rel=0.01)
+        assert payload["dephasing"]["feedback_part_hz"] == approx(1e-4, rel=0.01)
         assert payload["dephasing"]["position_diffusion_hz_per_m2"] == ["inf"]
 
     def test_rates_scenario_with_given_rates(self, tmp_path):
@@ -201,9 +209,8 @@ class TestRunScenario:
         run_scenario(cfg, tmp_path / "out")
         summary = json.loads((tmp_path / "out" / "simulate.json").read_text())
         expected_d0 = 0.4 / 2 + 0.5**2 / (8 * 0.6) + 0.2**2 / (8 * 0.5)
-        assert summary["per_clock_dephasing"][0] == pytest.approx(expected_d0)
-        assert summary["fitted_decay_rate"] == pytest.approx(4 * expected_d0,
-                                                             abs=1e-9)
+        assert summary["per_clock_dephasing"][0] == approx(expected_d0, rel=1e-6)
+        assert summary["fitted_decay_rate"] == approx(4 * expected_d0, rel=0, abs=1e-9)
 
     def test_crystal_redshift_scenario(self, tmp_path):
         cfg = {
@@ -218,7 +225,7 @@ class TestRunScenario:
         }
         run_scenario(cfg, tmp_path / "out")
         payload = json.loads((tmp_path / "out" / "redshift.json").read_text())
-        assert payload["dephasing"]["measurement_part_hz"] == pytest.approx(0.05)
+        assert payload["dephasing"]["measurement_part_hz"] == approx(0.05, rel=1e-6)
         assert len(payload["dephasing"]["position_diffusion_hz_per_m2"]) == 2
 
     def test_3d_global_sweep_plot_data_has_sixth_root_exponent(self, tmp_path):
@@ -231,7 +238,7 @@ class TestRunScenario:
         lines = (tmp_path / "out" / "scaling_plot.csv").read_text().splitlines()
         last = lines[-1].split(",")
         assert last[5] == "power-law"
-        assert float(last[6]) == pytest.approx(1 / 6, abs=0.05)
+        assert float(last[6]) == approx(1 / 6, rel=0, abs=0.05)
 
     def test_unitary_simulation_reports_fit_failure(self, tmp_path):
         cfg = {
@@ -408,7 +415,7 @@ class TestSimulateAtArrayScale:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         summary = json.loads((tmp_path / "o" / "simulate.json").read_text())
         assert summary["n_clocks"] == 14
-        assert summary["fitted_decay_rate"] == pytest.approx(
+        assert summary["fitted_decay_rate"] == approx(
             4.0 * summary["per_clock_dephasing"][0], rel=1e-9)
 
     @pytest.mark.parametrize("n", [5, 14])
@@ -445,6 +452,10 @@ NON_FINITE_CONFIGS = {
     "shell_frequency_overflow": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
         REDSHIFT_SIMPLE["parameters"], quoted_frequency=1e200, body={
             "kind": "shell", "inner_radius": 0.5, "outer_radius": 2.0}))),
+    # a finite frequency and radius whose shell rate overflows
+    "shell_rate_overflow": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
+        REDSHIFT_SIMPLE["parameters"], quoted_frequency=1e150, body={
+            "kind": "shell", "inner_radius": 1e-300, "outer_radius": 2.0}))),
     "crystal_clock_position_inf": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
         REDSHIFT_SIMPLE["parameters"], body={
             "kind": "crystal", "atom_mass": 1e-25, "lattice_constant": 1e-9,
@@ -494,7 +505,7 @@ class TestPaperReport:
         assert entry.status == "reproduced"
         best = entry.closest_row()
         assert best.convention == "direct"
-        assert best.value == pytest.approx(1.4522715257757183e-42)
+        assert best.value == approx(1.4522715257757183e-42, rel=1e-6)
 
     def test_ambiguous_claims_have_four_mode_convention_combos(self):
         rep = paper_report()
@@ -509,10 +520,10 @@ class TestPaperReport:
     def test_atom_count_inversion_round_trip(self):
         n = atoms_for_target_rate(1e-3, 3, 1e-10, 8e17, "pairwise")
         back = array_minimum_rate(n, 3, 1e-10, 8e17, "pairwise")
-        assert back == pytest.approx(1e-3, rel=1e-9)
+        assert back == approx(1e-3, rel=1e-9)
         n_g = atoms_for_target_rate(1e-3, 3, 1e-10, 8e17, "global")
         back_g = array_minimum_rate(n_g, 3, 1e-10, 8e17, "global")
-        assert back_g == pytest.approx(1e-3, rel=1e-9)
+        assert back_g == approx(1e-3, rel=1e-9)
 
 
 def test_emit_plot_data_empty_is_header_only():

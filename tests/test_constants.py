@@ -17,6 +17,13 @@ from ccgclocks.constants import (
 )
 
 
+def approx(expected, rel, abs=0.0):
+    """pytest.approx without its default 1e-12 absolute tolerance, under which
+    any two values below 1e-12 compare equal (SI rates here are near 1e-42 Hz);
+    an absolute tolerance is passed where one is meant."""
+    return pytest.approx(expected, rel=rel, abs=abs)
+
+
 def test_codata_values():
     assert CONSTANTS.G == 6.67430e-11
     assert CONSTANTS.hbar == 1.054571817e-34
@@ -81,7 +88,7 @@ def test_apply_convention_direct_identity():
 
 def test_apply_convention_two_pi():
     w = float(apply_convention(1e15, "times-two-pi"))
-    assert w == pytest.approx(6.2832e15, rel=1e-4)
+    assert w == approx(6.2832e15, rel=1e-4)
     assert w == 2.0 * math.pi * 1e15
 
 
@@ -105,7 +112,7 @@ def test_convention_aliases():
 @given(st.floats(min_value=1e-30, max_value=1e30))
 def test_convention_ratio_is_two_pi(f):
     ratio = float(apply_convention(f, "times-two-pi")) / float(apply_convention(f, "direct"))
-    assert ratio == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert ratio == approx(2.0 * math.pi, rel=1e-15)
 
 
 def test_scalar_types_validate():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ccgclocks.constants import FrequencyConvention, apply_convention
+from ccgclocks import geometry
+from ccgclocks.constants import G_HBAR_OVER_C4, FrequencyConvention, apply_convention
 from ccgclocks.geometry import (
     ClockArray,
     ClockSpec,
@@ -15,6 +16,14 @@ from ccgclocks.geometry import (
     pair_interaction_rate,
     pair_rate_matrix,
 )
+
+
+def approx(expected, rel, abs=0.0):
+    """pytest.approx without its default 1e-12 absolute tolerance, under which
+    any two values below 1e-12 compare equal (SI rates here are near 1e-42 Hz);
+    an absolute tolerance is passed where one is meant."""
+    return pytest.approx(expected, rel=rel, abs=abs)
+
 
 W15 = apply_convention(1e15, "direct")
 
@@ -38,7 +47,7 @@ class TestBuildLattice:
         assert len(arr) == 8
         d = np.linalg.norm(arr.positions[:, None] - arr.positions[None, :], axis=-1)
         nn = d[d > 0].min()
-        assert nn == pytest.approx(1e-10, rel=1e-12)
+        assert nn == approx(1e-10, rel=1e-12)
 
     def test_planar_million_site_array(self):
         arr = build_lattice(2, 8e-7, [1000, 1000], W15)
@@ -46,7 +55,7 @@ class TestBuildLattice:
         assert arr.lattice == LatticeInfo(2, 8e-7, (1000, 1000))
         xs = np.unique(arr.positions[:, 0])
         assert len(xs) == 1000
-        assert np.diff(xs).min() == pytest.approx(8e-7, rel=1e-12)
+        assert np.diff(xs).min() == approx(8e-7, rel=1e-12)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -61,14 +70,14 @@ class TestBuildLattice:
         assert np.allclose(odd.positions[odd.center_index()], 0.0)
         even = build_lattice(1, 1.0, [4], W15)
         c = even.positions[even.center_index(), 0]
-        assert abs(c) == pytest.approx(0.5)  # nearest the centroid
+        assert abs(c) == approx(0.5, rel=1e-6)  # nearest the centroid
 
 
 class TestPairInteractionRate:
     def test_petahertz_pair_at_300nm(self):
         rate = float(pair_interaction_rate(_clock((0, 0, 0)), _clock((300e-9, 0, 0))))
-        assert rate == pytest.approx(G12_300NM, rel=1e-6)
-        assert rate / 2.0 == pytest.approx(1.45e-42, rel=1e-2)
+        assert rate == approx(G12_300NM, rel=1e-6)
+        assert rate / 2.0 == approx(1.45e-42, rel=1e-2)
 
     def test_zero_frequency_gives_zero(self):
         rate = pair_interaction_rate(_clock((0, 0, 0), omega=0.0), _clock((1e-6, 0, 0)))
@@ -77,7 +86,7 @@ class TestPairInteractionRate:
     def test_inverse_distance_scaling(self):
         r1 = float(pair_interaction_rate(_clock((0, 0, 0)), _clock((1e-6, 0, 0))))
         r2 = float(pair_interaction_rate(_clock((0, 0, 0)), _clock((2e-6, 0, 0))))
-        assert r2 == pytest.approx(r1 / 2.0, rel=1e-12)
+        assert r2 == approx(r1 / 2.0, rel=1e-12)
 
     def test_symmetric_under_swap(self):
         a, b = _clock((0, 0, 0)), _clock((3e-7, 1e-7, -2e-7))
@@ -93,7 +102,7 @@ class TestPairRateMatrix:
         arr = ClockArray([1e15, 1e15], [[0, 0, 0], [3e-7, 0, 0]])
         g = pair_rate_matrix(arr)
         expected = float(pair_interaction_rate(*arr.clocks))
-        assert g.g[0, 1] == pytest.approx(expected, rel=1e-12)
+        assert g.g[0, 1] == approx(expected, rel=1e-12)
         assert g.g[0, 0] == 0.0
 
     def test_three_collinear_distance_ratios(self):
@@ -101,8 +110,8 @@ class TestPairRateMatrix:
         g = pair_rate_matrix(arr).g
         order = np.argsort(arr.positions[:, 0])
         left, mid, right = order
-        assert g[left, mid] == pytest.approx(g[mid, right], rel=1e-12)
-        assert g[left, mid] == pytest.approx(2.0 * g[left, right], rel=1e-12)
+        assert g[left, mid] == approx(g[mid, right], rel=1e-12)
+        assert g[left, mid] == approx(2.0 * g[left, right], rel=1e-12)
 
     def test_random_cloud_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -116,7 +125,7 @@ class TestPairRateMatrix:
                     assert g[i, j] == 0.0
                 else:
                     brute = float(pair_interaction_rate(clocks[i], clocks[j]))
-                    assert g[i, j] == pytest.approx(brute, rel=1e-12)
+                    assert g[i, j] == approx(brute, rel=1e-12)
 
     def test_coincident_error_names_indices(self):
         with pytest.raises(ValueError, match=r"clocks 0 and 1"):
@@ -131,6 +140,41 @@ class TestPairRateMatrix:
         pos[6] = pos[5]
         with pytest.raises(ValueError, match=r"clocks 5 and 6 are coincident"):
             ClockArray(np.full(2100, 1e15), pos)
+
+    @pytest.mark.parametrize("n", [2, 31, 32, 33, 100])
+    def test_blocks_match_the_one_shot_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        arr = ClockArray(rng.uniform(5e14, 2e15, size=n), rng.uniform(0, 1e-5, size=(n, 3)))
+        diff = arr.positions[:, None, :] - arr.positions[None, :, :]
+        with np.errstate(divide="ignore"):
+            want = G_HBAR_OVER_C4 * np.outer(arr.omegas, arr.omegas) / np.sqrt(
+                np.einsum("ijk,ijk->ij", diff, diff))
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(pair_rate_matrix(arr).g, want)
+
+    @pytest.mark.parametrize("d", [1e-170, 1e200])
+    def test_distances_whose_square_under_or_overflows(self, d):
+        # ClockArray takes these clocks as distinct, and each rate is representable
+        arr = ClockArray([1e15, 2e15, 1e15, 1e15],
+                         [[0, 0, 0], [3 * d, 4 * d, 0], [0, 0, 7e-6], [5e-6, 0, 0]])
+        g = pair_rate_matrix(arr).g
+        assert g[0, 1] == g[1, 0] == approx(G_HBAR_OVER_C4 * 2e30 / (5 * d), rel=1e-15)
+        assert g[0, 2] == approx(G_HBAR_OVER_C4 * 1e30 / 7e-6, rel=1e-15)
+        # cells whose square is ordinary keep their bits
+        ordinary = pair_rate_matrix(ClockArray([1e15, 1e15], [[0, 0, 7e-6], [5e-6, 0, 0]])).g
+        assert g[2, 3] == ordinary[0, 1]
+
+    def test_truly_coincident_clocks_are_refused_by_the_kernel(self, monkeypatch):
+        # with ClockArray's own check off, the kernel still names the pair
+        monkeypatch.setattr(geometry, "_coincident_pair", lambda positions: (None, None))
+        arr = ClockArray([1e15] * 3, [[0, 0, 0], [1e-170, 0, 0], [1e-170, 0, 0]])
+        with pytest.raises(ValueError, match=r"^clocks 1 and 2 are coincident$"):
+            pair_rate_matrix(arr)
+
+    def test_a_distance_out_of_the_float_range_is_refused(self):
+        arr = ClockArray([1e15, 1e15], [[-1e308, 0, 0], [1e308, 0, 0]])
+        with pytest.raises(ValueError, match="clocks 0 and 1 is out of the float range"):
+            pair_rate_matrix(arr)
 
     def test_validation(self):
         with pytest.raises(ValueError):

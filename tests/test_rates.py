@@ -23,6 +23,13 @@ from ccgclocks.rates import (
 )
 
 
+def approx(expected, rel, abs=0.0):
+    """pytest.approx without its default 1e-12 absolute tolerance, under which
+    any two values below 1e-12 compare equal (SI rates here are near 1e-42 Hz);
+    an absolute tolerance is passed where one is meant."""
+    return pytest.approx(expected, rel=rel, abs=abs)
+
+
 def two_clock_matrix(g=1.0):
     return PairRateMatrix.from_matrix([[0.0, g], [g, 0.0]])
 
@@ -147,13 +154,13 @@ class TestDephasingGivenRates:
         g = two_clock_matrix(2.0)
         gam = np.array([[0.0, 1.0], [1.0, 0.0]])  # g/2
         rep = dephasing_given_rates(g, MeasurementRates("pairwise", pairwise_gamma=gam))
-        assert rep.per_clock == pytest.approx([1.0, 1.0], rel=1e-12)
+        assert rep.per_clock == approx([1.0, 1.0], rel=1e-12)
 
     def test_zero_coupling_limit_is_pure_measurement_noise(self):
         g = PairRateMatrix.from_matrix(np.zeros((2, 2)))
         gam = np.array([[0.0, 0.8], [0.8, 0.0]])
         rep = dephasing_given_rates(g, MeasurementRates("pairwise", pairwise_gamma=gam))
-        assert rep.per_clock == pytest.approx([0.4, 0.4], rel=1e-12)
+        assert rep.per_clock == approx([0.4, 0.4], rel=1e-12)
 
     def test_three_clock_triangle_matches_hand_expansion(self):
         g = equidistant_matrix(3, g=0.6)
@@ -163,12 +170,12 @@ class TestDephasingGivenRates:
         rep = dephasing_given_rates(g, MeasurementRates("pairwise", pairwise_gamma=gam))
         # expanding the pairwise sum for clock 0 by hand:
         expected = (gam_val / 2 + 0.6**2 / (8 * gam_val)) * 2
-        assert rep.per_clock == pytest.approx([expected] * 3, rel=1e-12)
+        assert rep.per_clock == approx([expected] * 3, rel=1e-12)
 
         repg = dephasing_given_rates(
             g, MeasurementRates("global", global_gamma=np.full(3, gam_val)))
         expected_g = gam_val / 2 + 2 * 0.6**2 / (8 * gam_val)
-        assert repg.per_clock == pytest.approx([expected_g] * 3, rel=1e-12)
+        assert repg.per_clock == approx([expected_g] * 3, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -179,7 +186,7 @@ class TestDephasingGivenRates:
 class TestClosedForms:
     def test_pairwise_A_two_clocks(self):
         rep = min_dephasing_pairwise_A(two_clock_matrix(2.0))
-        assert rep.per_clock == pytest.approx([1.0, 1.0], rel=1e-15)
+        assert rep.per_clock == approx([1.0, 1.0], rel=1e-15)
         assert np.allclose(rep.optimal_rates.pairwise_gamma,
                            [[0.0, 1.0], [1.0, 0.0]])
 
@@ -189,9 +196,9 @@ class TestClosedForms:
         rep = min_dephasing_pairwise_A(g)
         pref = CONSTANTS.G * CONSTANTS.hbar * 1e30 / (2 * CONSTANTS.c**4)
         center = arr.center_index()
-        assert rep.per_clock[center] == pytest.approx(pref * 2 / 1e-6, rel=1e-12)
+        assert rep.per_clock[center] == approx(pref * 2 / 1e-6, rel=1e-12)
         edge = [i for i in range(3) if i != center][0]
-        assert rep.per_clock[edge] == pytest.approx(pref * 1.5 / 1e-6, rel=1e-12)
+        assert rep.per_clock[edge] == approx(pref * 1.5 / 1e-6, rel=1e-12)
 
     def test_pairwise_A_center_rate_grows_with_log_N(self):
         pref = CONSTANTS.G * CONSTANTS.hbar * 1e30 / (2 * CONSTANTS.c**4)
@@ -200,24 +207,25 @@ class TestClosedForms:
             arr = build_lattice(1, 1e-6, [n], 1e15)
             rep = min_dephasing_pairwise_A(pair_rate_matrix(arr))
             rates.append(rep.per_clock[arr.center_index()])
-        # harmonic growth: rate ~ (2 pref / L_c)(ln M + gamma_e)
+        # the centre clock's exact sum (2 pref / L_c) H_m, m clocks on each
+        # side, which grows as (2 pref / L_c)(ln m + gamma_e)
         for n, r in zip((11, 101, 1001), rates):
             m = (n - 1) // 2
-            expected = 2 * pref / 1e-6 * (math.log(m) + 0.5772156649015329)
-            assert r == pytest.approx(expected, rel=2e-2)
-        assert rates[1] - rates[0] == pytest.approx(rates[2] - rates[1], rel=0.05)
+            harmonic = math.fsum(1.0 / k for k in range(1, m + 1))
+            assert r == approx(2 * pref / 1e-6 * harmonic, rel=1e-14)
+        assert rates[1] - rates[0] == approx(rates[2] - rates[1], rel=0.05)
 
     def test_global_A_equals_pairwise_at_two_clocks(self):
         g = two_clock_matrix(1.4)
-        assert min_dephasing_global_A(g).per_clock == pytest.approx(
+        assert min_dephasing_global_A(g).per_clock == approx(
             min_dephasing_pairwise_A(g).per_clock.tolist(), rel=1e-15)
 
     def test_global_A_equidistant_star(self):
         k = 5  # neighbors
         g = equidistant_matrix(k + 1, g=0.8)
         rep = min_dephasing_global_A(g)
-        assert rep.per_clock == pytest.approx([0.8 / 2 * math.sqrt(k)] * (k + 1),
-                                              rel=1e-12)
+        assert rep.per_clock == approx([0.8 / 2 * math.sqrt(k)] * (k + 1),
+                                       rel=1e-12)
 
     def test_global_A_1d_saturation_constant(self):
         # exact-summation constant: rate / sqrt(1 - 2/N) approaches
@@ -229,19 +237,19 @@ class TestClosedForms:
             arr = build_lattice(1, 1e-6, [n], 1e15)
             rep = min_dephasing_global_A(pair_rate_matrix(arr))
             consts.append(rep.per_clock[arr.center_index()] / math.sqrt(1 - 2 / n))
-        assert consts[0] == pytest.approx(limit, rel=5e-2)  # still bending at N=11
-        assert consts[1] == pytest.approx(consts[2], rel=1e-2)
-        assert consts[2] == pytest.approx(limit, rel=5e-3)
+        assert consts[0] == approx(limit, rel=5e-2)  # still bending at N=11
+        assert consts[1] == approx(consts[2], rel=1e-2)
+        assert consts[2] == approx(limit, rel=5e-3)
 
     def test_pairwise_B_two_clocks(self):
         rep = min_dephasing_pairwise_B(two_clock_matrix(2.0))
-        assert rep.per_clock == pytest.approx([1.0, 1.0], rel=1e-15)
+        assert rep.per_clock == approx([1.0, 1.0], rel=1e-15)
 
     def test_pairwise_B_five_equidistant_with_golden_section_check(self):
         g = equidistant_matrix(5, g=1.0)
         rep = min_dephasing_pairwise_B(g)
         # sqrt(N-1)/2 * sqrt(sum g^2) = (2/2) * 2g = 2g
-        assert rep.per_clock == pytest.approx([2.0] * 5, rel=1e-12)
+        assert rep.per_clock == approx([2.0] * 5, rel=1e-12)
 
         def total(gamma):
             gam = np.full((5, 5), gamma)
@@ -252,14 +260,14 @@ class TestClosedForms:
         res = minimize_scalar(total, bracket=(1e-3, 1.0, 10.0), method="golden",
                               options={"xtol": 1e-12})
         gamma_star = float(rep.optimal_rates.pairwise_gamma[0, 1])
-        assert res.x == pytest.approx(gamma_star, rel=1e-6)
-        assert total(res.x) == pytest.approx(rep.objective(), rel=1e-10)
+        assert res.x == approx(gamma_star, rel=1e-6)
+        assert total(res.x) == approx(rep.objective(), rel=1e-10)
 
     def test_B_equals_sqrt_Nm1_times_global_A(self):
         g = random_geometry_matrix(6, seed=11)
         b = min_dephasing_pairwise_B(g).per_clock
         a2 = min_dephasing_global_A(g).per_clock
-        assert b == pytest.approx((math.sqrt(5) * a2).tolist(), rel=1e-12)
+        assert b == approx((math.sqrt(5) * a2).tolist(), rel=1e-12)
 
     def test_B_rejects_single_clock(self):
         with pytest.raises(ValueError):
@@ -267,7 +275,7 @@ class TestClosedForms:
 
     def test_fixed_scalar_global_matches_global_A_on_homogeneous(self):
         g = equidistant_matrix(4, g=0.5)
-        assert min_dephasing_global_B(g).per_clock == pytest.approx(
+        assert min_dephasing_global_B(g).per_clock == approx(
             min_dephasing_global_A(g).per_clock.tolist(), rel=1e-12)
 
 
@@ -281,23 +289,23 @@ class TestOptimizer:
         assert isinstance(best, MeasurementRates) and best.mode == "global"
         assert isinstance(report, DephasingReport)
         assert report.optimal_rates is best
-        assert report.per_clock == pytest.approx(
+        assert report.per_clock == approx(
             dephasing_given_rates(g, best).per_clock, rel=1e-15)
 
     def test_two_clock_recovers_half_g(self):
         g = two_clock_matrix(3.0)
         rates, rep = optimize_rates(g, "pairwise")
-        assert rates.pairwise_gamma[0, 1] == pytest.approx(1.5, rel=1e-6)
-        assert rates.pairwise_gamma[1, 0] == pytest.approx(1.5, rel=1e-6)
-        assert rep.per_clock == pytest.approx([1.5, 1.5], rel=1e-10)
+        assert rates.pairwise_gamma[0, 1] == approx(1.5, rel=1e-6)
+        assert rates.pairwise_gamma[1, 0] == approx(1.5, rel=1e-6)
+        assert rep.per_clock == approx([1.5, 1.5], rel=1e-10)
 
     def test_random_cloud_global_recovers_closed_form(self):
         g = random_geometry_matrix(6, seed=5)
         rates, rep = optimize_rates(g, "global")
         closed = min_dephasing_global_A(g)
-        assert rates.global_gamma == pytest.approx(
+        assert rates.global_gamma == approx(
             closed.optimal_rates.global_gamma.tolist(), rel=1e-6)
-        assert rep.objective() == pytest.approx(closed.objective(), rel=1e-10)
+        assert rep.objective() == approx(closed.objective(), rel=1e-10)
 
     def test_argmin_beats_random_perturbations(self):
         g = random_geometry_matrix(4, seed=9)
@@ -323,16 +331,16 @@ class TestOptimizer:
         g = equidistant_matrix(5, g=1.0)
         rates, rep = optimize_rates(g, "fixed-scalar")
         closed = min_dephasing_pairwise_B(g)
-        assert rates.pairwise_gamma[0, 1] == pytest.approx(
+        assert rates.pairwise_gamma[0, 1] == approx(
             closed.optimal_rates.pairwise_gamma[0, 1], rel=1e-6)
-        assert rep.objective() == pytest.approx(closed.objective(), rel=1e-10)
+        assert rep.objective() == approx(closed.objective(), rel=1e-10)
 
     def test_fixed_scalar_global_homogeneous(self):
         g = equidistant_matrix(4, g=0.7)
         rates, rep = optimize_rates(g, "fixed-scalar-global")
         closed = min_dephasing_global_B(g)
-        assert rep.objective() == pytest.approx(closed.objective(), rel=1e-10)
-        assert rates.global_gamma[0] == pytest.approx(
+        assert rep.objective() == approx(closed.objective(), rel=1e-10)
+        assert rates.global_gamma[0] == approx(
             closed.optimal_rates.global_gamma[0], rel=1e-6)
 
     def test_unknown_mode(self):
@@ -391,8 +399,8 @@ class TestOptimizerProperties:
            g=equivalent_sites())
     def test_B_per_clock_sum_is_the_shared_optimum_on_equivalent_sites(self, mode, g):
         _, rep = optimize_rates(g, mode)
-        assert _CLOSED_FORMS[mode](g).objective() == pytest.approx(rep.objective(),
-                                                                   rel=1e-9)
+        assert _CLOSED_FORMS[mode](g).objective() == approx(rep.objective(),
+                                                            rel=1e-9)
 
     @settings(max_examples=200, deadline=None)
     @given(mode=st.sampled_from(sorted(_CLOSED_FORMS)), g=clouds())
@@ -407,7 +415,7 @@ class TestOptimizerProperties:
         _, rep = optimize_rates(g, mode)
         n = len(g)
         assert rep.objective() >= best * (1 - 4e-16 * n ** 2)
-        assert rep.objective() == pytest.approx(best, rel=1e-10)
+        assert rep.objective() == approx(best, rel=1e-10)
 
     @settings(max_examples=100, deadline=None)
     @given(mode=st.sampled_from(sorted(_CLOSED_FORMS)), g=clouds(), data=st.data())
@@ -430,8 +438,8 @@ class TestInvariants:
         g = random_geometry_matrix(7, seed=2)
         closed = min_dephasing_pairwise_A(g)
         achieved = dephasing_given_rates(g, closed.optimal_rates)
-        assert achieved.per_clock == pytest.approx(closed.per_clock.tolist(),
-                                                   rel=1e-12)
+        assert achieved.per_clock == approx(closed.per_clock.tolist(),
+                                            rel=1e-12)
 
     def test_given_rates_at_optimum_matches_closed_form_global_homogeneous(self):
         # per-clock equality requires site-equivalent geometry (here: a square)
@@ -440,14 +448,14 @@ class TestInvariants:
         g = pair_rate_matrix(arr)
         closed = min_dephasing_global_A(g)
         achieved = dephasing_given_rates(g, closed.optimal_rates)
-        assert achieved.per_clock == pytest.approx(closed.per_clock.tolist(),
-                                                   rel=1e-12)
+        assert achieved.per_clock == approx(closed.per_clock.tolist(),
+                                            rel=1e-12)
 
     def test_global_summed_rate_matches_for_any_geometry(self):
         g = random_geometry_matrix(6, seed=33)
         closed = min_dephasing_global_A(g)
         achieved = dephasing_given_rates(g, closed.optimal_rates)
-        assert achieved.objective() == pytest.approx(closed.objective(), rel=1e-12)
+        assert achieved.objective() == approx(closed.objective(), rel=1e-12)
 
     def test_global_minimum_below_pairwise_minimum(self):
         for seed in (1, 2, 3):
@@ -457,7 +465,7 @@ class TestInvariants:
             assert np.all(gl <= pw * (1 + 1e-12))
             assert np.all(gl < pw)  # strict for N >= 3
         g2 = two_clock_matrix(1.0)
-        assert min_dephasing_global_A(g2).per_clock == pytest.approx(
+        assert min_dephasing_global_A(g2).per_clock == approx(
             min_dephasing_pairwise_A(g2).per_clock.tolist(), rel=1e-15)
 
     def test_rates_monotone_in_distance(self):
@@ -479,9 +487,9 @@ class TestInvariants:
                    min_dephasing_pairwise_B):
             rep = fn(PairRateMatrix.from_matrix(g))
             rep_p = fn(PairRateMatrix.from_matrix(gp))
-            assert rep_p.per_clock == pytest.approx(rep.per_clock[perm].tolist(),
-                                                    rel=1e-12)
-            assert rep_p.objective() == pytest.approx(rep.objective(), rel=1e-12)
+            assert rep_p.per_clock == approx(rep.per_clock[perm].tolist(),
+                                             rel=1e-12)
+            assert rep_p.objective() == approx(rep.objective(), rel=1e-12)
 
 
 class TestReportSerialization:
@@ -499,7 +507,7 @@ class TestReportSerialization:
     def test_sum_equals_reported_objective(self):
         g = random_geometry_matrix(4, seed=12)
         _, rep = optimize_rates(g, "pairwise")
-        assert rep.objective() == pytest.approx(float(rep.per_clock.sum()), rel=1e-12)
+        assert rep.objective() == approx(float(rep.per_clock.sum()), rel=1e-12)
 
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):

@@ -321,6 +321,12 @@ def test_shell_frequency_squared_overflow_is_typed():
         shell_dephasing(0.5, 2.0, 1e200, 1e-4)
 
 
+def test_overflowing_shell_rate_is_refused_where_it_is_computed():
+    # w^2 is finite; the prefactor times 1 / inner_radius is not
+    with pytest.raises(ValueError, match="shell's dephasing rate is out of the float range"):
+        shell_dephasing(1e-300, 2.0, 1e150, 0.1)
+
+
 @pytest.mark.parametrize("clock", [(math.inf, 0, 0), (0, math.nan, 0), (0, 0)])
 def test_clock_position_must_be_three_finite_coordinates(clock):
     body = CompositeBody(1.0, 0.1, ExplicitAtoms(np.array([[1.0, 0, 0]])))
@@ -337,7 +343,7 @@ def test_overflowing_clock_atom_distance_is_refused():
 
 @pytest.mark.parametrize("gz", [0.5, 0.0])
 def test_json_fields_write_the_to_json_dict_bytes(gz):
-    from ccgclocks.scenarios import _json_bytes
+    from ccgclocks.scenarios import _json_chunks
 
     body = CompositeBody(1.0, 0.25, ExplicitAtoms(shell_atoms(0.5, 1.0, 0.25)))
     out = composite_dephasing(body, (0, 0, 0), W15, gz)
@@ -345,7 +351,7 @@ def test_json_fields_write_the_to_json_dict_bytes(gz):
     diffusion = fields["position_diffusion_hz_per_m2"]
     # a finite diffusion goes to the array writer as an array, gz = 0 as "inf"s
     assert isinstance(diffusion, np.ndarray if gz else list) and len(diffusion) >= 64
-    assert _json_bytes({"dephasing": fields}) == (json.dumps(
+    assert b"".join(_json_chunks({"dephasing": fields})) == (json.dumps(
         {"dephasing": out.to_json_dict()}, sort_keys=True, indent=2) + "\n").encode()
 
 

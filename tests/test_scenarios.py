@@ -16,7 +16,6 @@ from ccgclocks import scenarios
 from ccgclocks.scenarios import (
     SCENARIO_SCHEMA,
     _PARAMETER_SCHEMAS,
-    _json_bytes,
     run_scenario,
     validate_scenario,
 )
@@ -28,15 +27,20 @@ def reference_bytes(value) -> bytes:
                        default=lambda a: a.tolist()) + "\n").encode()
 
 
+def written(value) -> bytes:
+    """What the writer writes for value: its chunks, joined."""
+    return b"".join(scenarios._json_chunks(value))
+
+
 def assert_writes_like_dumps(value):
     """The writer gives strict json.dumps' bytes, or refuses as it does."""
     try:
         expected = reference_bytes(value)
     except ValueError:  # a NaN or infinity, which strict JSON cannot spell
         with pytest.raises(ValueError, match="not JSON compliant"):
-            _json_bytes(value)
+            written(value)
         return
-    assert _json_bytes(value) == expected
+    assert written(value) == expected
 
 
 # -- writer ----------------------------------------------------------------------
@@ -123,7 +127,7 @@ def test_writer_arrays_match_dumps_of_their_lists(value):
 def test_writer_refuses_non_finite_floats(value):
     # scalars, short lists, and arrays on both sides of the small-array cutoff
     with pytest.raises(ValueError, match="not JSON compliant"):
-        _json_bytes({"x": value})
+        written({"x": value})
 
 
 @pytest.mark.parametrize("array", [np.arange(3), np.zeros((2, 2, 2)), np.array(1.5),
@@ -132,7 +136,7 @@ def test_writer_refuses_other_arrays_as_dumps_does(array):
     with pytest.raises(TypeError, match="not JSON serializable"):
         json.dumps({"a": array})
     with pytest.raises(TypeError, match="not JSON serializable"):
-        _json_bytes({"a": array})
+        written({"a": array})
 
 
 def _clock(x, y=0.0):
@@ -200,19 +204,67 @@ def test_every_kind_is_covered():
 @pytest.mark.parametrize("config", EVERY_KIND + CHAINS,
                          ids=lambda c: c["kind"] + "-" + json.dumps(c)[-12:])
 def test_scenario_artifacts_match_indented_dumps(config, tmp_path, monkeypatch):
-    written = []
-    original = scenarios._json_bytes
+    payloads = []
+    original = scenarios._json_chunks
 
     def recording(payload):
-        data = original(payload)
-        written.append((payload, data))
-        return data
+        payloads.append(payload)
+        return original(payload)
 
-    monkeypatch.setattr(scenarios, "_json_bytes", recording)
-    run_scenario(config, tmp_path)
-    assert written
-    for payload, data in written:
-        assert data == reference_bytes(payload)
+    monkeypatch.setattr(scenarios, "_json_chunks", recording)
+    paths = run_scenario(config, tmp_path)
+    files = sorted(p.read_bytes() for p in paths if p.suffix == ".json")
+    assert files and files == sorted(map(reference_bytes, payloads))
+
+
+# values whose spellings differ in length, ±0.0 and subnormals among them
+_FINITE = np.array([0.0, -0.0, 5e-324, 2.5e-310, 1.5, -3e300, 0.1])
+
+
+@pytest.mark.parametrize("shape", [(2049,), (5000,), (300, 40), (3, 2100), (2100, 1)])
+def test_writer_blocks_and_chunks_match_dumps(shape):
+    # past _BLOCK_CELLS cells an array is written a block at a time, and past
+    # _CHUNK_CHARS characters an artifact goes out in several chunks, each at
+    # most one block (under 50 characters a cell, brackets included) longer
+    rng = np.random.default_rng(len(shape))
+    value = {"few": np.resize(_FINITE, shape), "many": rng.uniform(-1, 1, shape),
+             "view": np.resize(_FINITE, shape).T, "tail": [1.0, "x", None]}
+    chunks = list(scenarios._json_chunks(value))
+    assert b"".join(chunks) == reference_bytes(value)
+    bound = scenarios._CHUNK_CHARS + 50 * scenarios._BLOCK_CELLS
+    assert len(chunks) > 1 and max(map(len, chunks)) < bound
+
+
+@pytest.mark.parametrize("convention", ["direct", "both"])
+def test_a_refusal_partway_through_a_file_leaves_no_file_of_its_convention(
+        convention, tmp_path, monkeypatch):
+    finite = np.linspace(1.0, 2.0, 10**4)
+    refused = finite.copy()
+    refused[-1] = math.nan
+    sizes = []
+
+    def runner(params, conv, stem, fmt):
+        # with "both", the direct files are written and the 2pi files refused
+        bad = convention == "direct" or conv.value == "times-two-pi"
+        path = tmp_path / f"{stem}.json"
+
+        def chunks():
+            try:
+                yield from scenarios._json_chunks({"a": finite, "b": refused if bad else finite})
+            except ValueError:
+                sizes.append(path.stat().st_size)
+                raise
+
+        return {f"{stem}.csv": b"N\r\n1\r\n", f"{stem}.json": chunks()}
+
+    monkeypatch.setitem(scenarios._RUNNERS, "rates", (runner, "rates", "both"))
+    config = {"kind": "rates", "convention": convention,
+              "parameters": {"geometry": _CLOCKS, "mode": "pairwise", "case": "A-free"}}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        run_scenario(config, tmp_path)
+    assert sizes[0] > 0  # chunks of the file were written before the refusal
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert left == ([] if convention == "direct" else ["rates_direct.csv", "rates_direct.json"])
 
 
 # -- validation ------------------------------------------------------------------
