@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import dephasing_prefactor
-from .geometry import ClockArray
+from .geometry import ClockArray, _distances
 
 SOLID_ANGLE = {1: 1.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -52,10 +52,10 @@ def lattice_sum_exact(array: ClockArray, center_index: int, alpha: float) -> flo
     if not 0 <= center_index < n:
         raise ValueError(f"center index {center_index} out of range for {n} clocks")
     pos = array.positions
-    d = np.linalg.norm(pos - pos[center_index], axis=1)
-    d = np.delete(d, center_index)
+    diff = np.delete(pos, center_index, axis=0)
     with np.errstate(divide="ignore", over="ignore"):  # raised as ValueError
-        terms = d ** (-alpha)
+        diff -= pos[center_index]
+        terms = _distances(diff) ** (-alpha)
     return _exact_sum(terms, f"distance sum for clock {center_index}")
 
 

@@ -213,7 +213,10 @@ class PairRateMatrix:
             raise ValueError("pair rates must be finite")
         if np.any(np.abs(np.diag(g)) != 0):
             raise ValueError("pair rate matrix must have an exactly zero diagonal")
-        if not np.array_equal(g, g.T):
+        # slab by slab of the upper triangle: g.T as a whole is read across rows
+        b = _PAIR_BLOCK_ROWS
+        if not all(np.array_equal(g[s:, s:s + b], g[s:s + b, s:].T)
+                   for s in range(0, len(g), b)):
             raise ValueError("pair rate matrix must be exactly symmetric")
         if np.any(g < 0):
             raise ValueError("pair rates must be non-negative")
@@ -269,10 +272,18 @@ def build_lattice(dimension: int, lattice_constant: float, counts,
 
 
 def pair_interaction_rate(clock1: ClockSpec, clock2: ClockSpec) -> Rate:
-    """Interaction rate G hbar w1 w2 / (d c^4) for a single clock pair."""
-    d = float(np.linalg.norm(np.subtract(clock1.position, clock2.position)))
+    """Interaction rate G hbar w1 w2 / (d c^4) for a single clock pair.
+
+    A squared distance that under- or overflows is taken again from the
+    scaled difference, as in `pair_rate_matrix`.
+    """
+    with np.errstate(over="ignore"):  # a difference past the float range is refused below
+        diff = np.subtract([clock1.position], [clock2.position])
+    d = float(_distances(diff)[0])
     if d == 0.0:
         raise ValueError("coincident clocks have a singular interaction rate")
+    if not d < np.inf:
+        raise ValueError("the distance between the clocks is out of the float range")
     return Rate(G_HBAR_OVER_C4 * float(clock1.omega) * float(clock2.omega) / d)
 
 
@@ -280,9 +291,14 @@ def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
     """Full symmetric matrix of pair interaction rates for an array.
 
     The rows are formed in blocks of `_PAIR_BLOCK_ROWS`, in place in the
-    result, so memory beyond it is O(N) per row. A squared distance that
-    under- or overflows is taken again from the scaled difference, so clocks
-    1e-170 m or 1e200 m apart get their representable rate.
+    result, from the three coordinate columns, so memory beyond the result is
+    one (rows, N) buffer. A squared distance is summed as (dx² + dz²) + dy²:
+    that is the order in which numpy's einsum("ijk,ijk->ij") reduces the
+    contiguous length-3 axis of a C-ordered difference tensor Δ, so every
+    matrix keeps the bits of the one-shot formula
+    G·ħ·ω_iω_j / (c⁴·sqrt(einsum(Δ, Δ))). A squared distance that under- or
+    overflows is taken again from the scaled difference, so clocks 1e-170 m or
+    1e200 m apart get their representable rate.
     """
     n = len(array)
     if n > _PAIR_MATRIX_LIMIT:
@@ -290,36 +306,56 @@ def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
             f"pair rate matrix for N={n} clocks exceeds the dense limit "
             f"({_PAIR_MATRIX_LIMIT}); use the continuum module for large arrays")
     pos, omegas = array.positions, array.omegas
+    x, y, z = np.ascontiguousarray(pos.T)  # the coordinate columns
     g = np.empty((n, n))
-    rows = min(n, _PAIR_BLOCK_ROWS)
-    diffs, ww = np.empty((rows, n, 3)), np.empty((rows, n))  # one block's buffers
+    buffer = np.empty((min(n, _PAIR_BLOCK_ROWS), n))
     # an overflowing distance or rate is refused below or by PairRateMatrix
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, _PAIR_BLOCK_ROWS):
             stop = min(start + _PAIR_BLOCK_ROWS, n)
-            d, diff, w = g[start:stop], diffs[:stop - start], ww[:stop - start]
+            d, t = g[start:stop], buffer[:stop - start]
             diagonal = (np.arange(stop - start), np.arange(start, stop))
-            np.subtract(pos[start:stop, None, :], pos[None, :, :], out=diff)
-            np.einsum("ijk,ijk->ij", diff, diff, out=d)
+            np.subtract.outer(x[start:stop], x, out=d)
+            np.multiply(d, d, out=d)
+            for column in (z, y):
+                np.subtract.outer(column[start:stop], column, out=t)
+                np.multiply(t, t, out=t)
+                np.add(d, t, out=d)
             d[diagonal] = 1.0  # set aside
             bad = None
             if d.min() < _TINY or d.max() == np.inf:
                 bad = np.nonzero((d < _TINY) | (d == np.inf))
             np.sqrt(d, out=d)
             if bad is not None:
-                d[bad] = _scaled_norm(diff[bad])
-            if not d.all():
-                i, j = np.argwhere(d == 0.0)[0]
-                raise ValueError(f"clocks {start + i} and {j} are coincident")
-            if not d.max() < np.inf:
-                i, j = np.argwhere(~np.isfinite(d))[0]
-                raise ValueError(f"the distance between clocks {start + i} and {j} "
-                                 "is out of the float range")
-            np.multiply.outer(omegas[start:stop], omegas, out=w)
-            np.multiply(G_HBAR_OVER_C4, w, out=w)
-            np.divide(w, d, out=d)
+                # only a flagged cell can be zero or infinite after the sqrt
+                d[bad] = redone = _scaled_norm(pos[start + bad[0]] - pos[bad[1]])
+                if not redone.all():
+                    k = np.flatnonzero(redone == 0.0)[0]
+                    raise ValueError(
+                        f"clocks {start + bad[0][k]} and {bad[1][k]} are coincident")
+                if not redone.max() < np.inf:
+                    k = np.flatnonzero(~np.isfinite(redone))[0]
+                    raise ValueError(f"the distance between clocks {start + bad[0][k]} "
+                                     f"and {bad[1][k]} is out of the float range")
+            np.multiply.outer(omegas[start:stop], omegas, out=t)
+            np.multiply(G_HBAR_OVER_C4, t, out=t)
+            np.divide(t, d, out=d)
             d[diagonal] = 0.0
     return PairRateMatrix(g, convention=array.convention)
+
+
+def _distances(diff: np.ndarray) -> np.ndarray:
+    """Lengths of the rows of the (M, 3) differences, summed as
+    np.linalg.norm(diff, axis=1) sums them; a row whose square under- or
+    overflows is taken again by `_scaled_norm`. A difference past the float
+    range gives a non-finite length, which callers refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared = (diff * diff).sum(axis=1)
+        d = np.sqrt(squared)
+        bad = (squared < _TINY) | (squared == np.inf)
+        if bad.any():
+            d[bad] = _scaled_norm(diff[bad])
+    return d
 
 
 def _scaled_norm(v: np.ndarray) -> np.ndarray:

@@ -223,7 +223,7 @@ class EvolutionModel:
         m = np.array(self.dephasing, dtype=float)
         if not all(np.all(np.isfinite(a)) for a in (w, g, m)):
             raise ValueError("omegas, coupling and dephasing must be finite")
-        if g.shape != (n, n) or not np.allclose(g, g.T, rtol=0, atol=0):
+        if g.shape != (n, n) or not np.array_equal(g, g.T):
             raise ValueError("coupling must be a symmetric N x N matrix")
         if np.any(np.diag(g) != 0):
             raise ValueError("coupling diagonal must be zero")
@@ -478,7 +478,8 @@ class CoherenceTrace:
     magnitudes: np.ndarray  # shape (T, N)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float).reshape(-1)
+        # a copy: freezing it below leaves the caller's array writeable
+        t = np.array(self.times, dtype=float).reshape(-1)
         m = np.asarray(self.magnitudes, dtype=float)
         if m.ndim != 2 or m.shape[0] != len(t):
             raise ValueError("magnitudes must have shape (len(times), n_clocks)")

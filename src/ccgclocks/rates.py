@@ -64,10 +64,12 @@ class MeasurementRates:
             if gam.ndim != 2 or gam.shape[0] != gam.shape[1]:
                 raise ValueError("pairwise_gamma must be a square matrix")
             n = gam.shape[0]
-            diag = np.eye(n, dtype=bool)
-            bad = np.where(diag, gam != 0, ~(np.isfinite(gam) & (gam > 0)))
-            if bad.any():
+            ok = np.isfinite(gam) & (gam > 0)
+            # with an exactly zero diagonal, where no entry is ok, every
+            # off-diagonal entry is ok exactly when n(n-1) entries are
+            if np.any(gam.diagonal() != 0) or np.count_nonzero(ok) != n * (n - 1):
                 # the first offender in row-major order decides the message
+                bad = np.where(np.eye(n, dtype=bool), gam != 0, ~ok)
                 i, j = divmod(int(np.argmax(bad)), n)
                 if i == j:
                     raise ValueError("pairwise_gamma diagonal must be zero")
@@ -79,7 +81,8 @@ class MeasurementRates:
         else:
             if self.global_gamma is None or self.pairwise_gamma is not None:
                 raise ValueError("global mode needs global_gamma only")
-            gam = np.asarray(self.global_gamma, dtype=float).reshape(-1)
+            # a copy: freezing it below leaves the caller's array writeable
+            gam = np.array(self.global_gamma, dtype=float).reshape(-1)
             bad = ~(np.isfinite(gam) & (gam > 0))
             if bad.any():
                 raise ValueError(
@@ -115,7 +118,8 @@ class DephasingReport:
     optimal_rates: MeasurementRates | None = None
 
     def __post_init__(self):
-        rates = np.asarray(self.per_clock, dtype=float).reshape(-1)
+        # a copy: freezing it below leaves the caller's array writeable
+        rates = np.array(self.per_clock, dtype=float).reshape(-1)
         if np.any(rates < 0) or not np.all(np.isfinite(rates)):
             raise ValueError("per-clock dephasing rates must be finite and non-negative")
         rates.setflags(write=False)
@@ -211,13 +215,15 @@ def dephasing_given_rates(g: PairRateMatrix, rates: MeasurementRates) -> Dephasi
 
 def min_dephasing_pairwise_A(g: PairRateMatrix) -> DephasingReport:
     """Minimum with free per-pair rates: D_i = (1/2) sum_j g_ij."""
-    mat = g.g
+    mat, n = g.g, len(g)
     per_clock = 0.5 * mat.sum(axis=1)
     optimal = None
-    if len(g) >= 2:
+    if n >= 2:
         gam = mat / 2.0
-        optimal = MeasurementRates("pairwise", pairwise_gamma=gam) if np.all(
-            gam[~np.eye(len(g), dtype=bool)] > 0) else None
+        # gam is finite and non-negative with a zero diagonal, so every
+        # off-diagonal rate is positive exactly when n(n-1) entries are nonzero
+        if np.count_nonzero(gam) == n * (n - 1):
+            optimal = MeasurementRates("pairwise", pairwise_gamma=gam)
     return DephasingReport(per_clock, "pairwise", "A-free",
                            convention=g.convention,
                            formula_id="pairwise-free-min",

@@ -462,7 +462,8 @@ def _array_pieces(a: np.ndarray, newline: str):
                        dtype=object)
 
     def cells(block_bits):
-        return spelled[np.searchsorted(distinct, block_bits)]
+        # as lists: str.join reads a list faster than an object array
+        return spelled[np.searchsorted(distinct, block_bits)].tolist()
 
     inner = newline + "  "
     if a.ndim == 1:

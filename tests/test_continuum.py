@@ -91,9 +91,20 @@ class TestLatticeSumExact:
         with pytest.raises(ValueError):
             lattice_sum_exact(arr, 7, 1.0)
 
-    def test_underflowed_distance_is_loud(self):
-        # distinct positions whose distance underflows to zero: the sum was nan
-        arr = ClockArray(np.full(2, W15), [[0.0, 0, 0], [1e-170, 0, 0]])
+    @pytest.mark.parametrize("d", [1e-170, 1e200])
+    def test_distances_whose_square_under_or_overflows(self, d):
+        # the squares underflow to zero or overflow to inf; the sum is representable
+        arr = ClockArray(np.full(3, W15), [[0.0, 0, 0], [3 * d, 4 * d, 0], [0, 0, -7 * d]])
+        assert lattice_sum_exact(arr, 0, 1.0) == approx(1 / (5 * d) + 1 / (7 * d), rel=1e-15)
+        # a site whose square is ordinary keeps its bits
+        mixed = ClockArray(np.full(3, W15), [[0.0, 0, 0], [3 * d, 4 * d, 0], [0, 0, -7e-6]])
+        plain = ClockArray(np.full(2, W15), [[0.0, 0, 0], [0, 0, -7e-6]])
+        assert lattice_sum_exact(mixed, 0, 1.0) == math.fsum(
+            [1 / (5 * d), lattice_sum_exact(plain, 0, 1.0)])
+
+    def test_a_distance_out_of_the_float_range_is_loud(self):
+        # the distance overflowed to inf and the sum read 0.0
+        arr = ClockArray(np.full(2, W15), [[-1e308, 0, 0], [1e308, 0, 0]])
         with pytest.raises(ValueError, match="not finite"):
             lattice_sum_exact(arr, 0, 1.0)
 

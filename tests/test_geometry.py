@@ -96,6 +96,18 @@ class TestPairInteractionRate:
         with pytest.raises(ValueError, match="coincident"):
             pair_interaction_rate(_clock((1, 2, 3)), _clock((1, 2, 3)))
 
+    @pytest.mark.parametrize("d", [1e-170, 1e200])
+    def test_distance_whose_square_under_or_overflows(self, d):
+        # the square underflowed to "coincident" or overflowed to Rate(0.0)
+        a, b = _clock((0, 0, 0), omega=1e15), _clock((3 * d, 4 * d, 0), omega=2e15)
+        rate = float(pair_interaction_rate(a, b))
+        assert rate == approx(G_HBAR_OVER_C4 * 2e30 / (5 * d), rel=1e-15)
+        assert rate == pair_rate_matrix(ClockArray.from_clocks([a, b])).g[0, 1]
+
+    def test_a_distance_out_of_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="out of the float range"):
+            pair_interaction_rate(_clock((-1e308, 0, 0)), _clock((1e308, 0, 0)))
+
 
 class TestPairRateMatrix:
     def test_two_clock_reduction(self):
@@ -199,6 +211,49 @@ def test_matrix_invariant_under_rigid_motion(n, seed):
                     [0, 0, 1.0]])
     g1 = pair_rate_matrix(ClockArray(omegas, pos @ rot.T + shift)).g
     assert np.allclose(g0, g1, rtol=1e-9, atol=0)
+
+
+def _one_shot(arr):
+    """G·ħ·ω_iω_j / (c⁴·sqrt(Σ_k Δ_k²)) over the whole C-ordered (N, N, 3)
+    difference tensor at once, zero diagonal: the formula the blocked kernel
+    keeps. einsum's summation order follows the memory layout, so the
+    positions are taken in C order whatever the array's own layout."""
+    pos = np.ascontiguousarray(arr.positions)
+    diff = pos[:, None, :] - pos[None, :, :]
+    with np.errstate(divide="ignore"):
+        want = G_HBAR_OVER_C4 * np.outer(arr.omegas, arr.omegas) / np.sqrt(
+            np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(want, 0.0)
+    return want
+
+
+@st.composite
+def planar_and_solid_clouds(draw):
+    """Random clouds and grid subsets of 2 to 200 clocks on a line, in a
+    plane or in space, at scales from 1e-9 to 1e3 m, moved off the origin;
+    the grid subsets' positions are stored in Fortran order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 200))
+    dims = draw(st.sampled_from([1, 2, 3]))
+    scale = draw(st.floats(1e-9, 1e3))
+    if draw(st.booleans()):
+        pos = rng.normal(size=(n, 3))
+    else:  # distinct grid sites: many equal distances and exact differences
+        side = math.ceil(n ** (1 / dims)) + 1
+        sites = rng.choice(side ** dims, size=n, replace=False)
+        pos = np.array(np.unravel_index(sites, (side,) * dims), dtype=float).T
+        pos = np.pad(pos, ((0, 0), (0, 3 - dims)))
+    pos[:, dims:] = 0.0
+    offset = rng.normal(size=3) * draw(st.sampled_from([0.0, 1.0, 40.0]))
+    omegas = rng.uniform(1e14, 1e16, size=n)
+    return ClockArray(omegas, scale * (pos + offset))
+
+
+@settings(max_examples=80, deadline=None)
+@given(planar_and_solid_clouds())
+def test_blocked_kernel_equals_the_one_shot_formula(arr):
+    # N crosses the 32-row blocks; the (dx² + dz²) + dy² sum must keep every bit
+    assert np.array_equal(pair_rate_matrix(arr).g, _one_shot(arr))
 
 
 def test_matrix_scaling_laws():

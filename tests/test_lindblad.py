@@ -598,6 +598,14 @@ class TestCoherence:
             CoherenceTrace(times=np.array([0.0, 1.0]),
                            magnitudes=np.array([[0.7], [0.1]]))
 
+    def test_times_are_copied(self):
+        # a view of the caller's times let the caller change a checked trace
+        times = np.array([0.0, 1.0])
+        trace = CoherenceTrace(times=times, magnitudes=np.array([[0.5], [0.25]]))
+        times[0] = -5.0
+        assert trace.times.tolist() == [0.0, 1.0]
+        assert times.flags.writeable
+
     def test_nan_magnitudes_refused(self):
         with pytest.raises(ValueError, match=r"\[0, 1/2\]"):
             CoherenceTrace(times=np.array([0.0, 1.0]),

@@ -142,6 +142,16 @@ class TestMeasurementRates:
         rates = MeasurementRates("pairwise", pairwise_gamma=gam)
         assert rates.pairwise_gamma[0, 1] != rates.pairwise_gamma[1, 0]
 
+    def test_per_clock_arrays_are_copied(self):
+        # a view of the caller's array let the caller change a checked object
+        a, per_clock = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        rates = MeasurementRates("global", global_gamma=a)
+        report = DephasingReport(per_clock, "global", "given-rates")
+        a[0], per_clock[0] = -5.0, -6.0
+        assert rates.global_gamma.tolist() == [1.0, 2.0]
+        assert report.per_clock.tolist() == [3.0, 4.0]
+        assert a.flags.writeable and per_clock.flags.writeable
+
     def test_mode_consistency(self):
         with pytest.raises(ValueError):
             MeasurementRates("global", pairwise_gamma=np.eye(2))
@@ -430,6 +440,33 @@ class TestOptimizerProperties:
         else:
             assert rates_p.global_gamma == pytest.approx(
                 rates.global_gamma[perm], rel=1e-6)
+
+
+@st.composite
+def moved_clouds(draw):
+    """Clocks on distinct sites of a small grid, and the same clocks listed in
+    a permuted order after a rotation and a translation: (g, g_moved, perm),
+    with clock k of the moved array being clock perm[k] of the first."""
+    sites = np.array(draw(st.lists(st.tuples(*[st.integers(-6, 6)] * 3),
+                                   min_size=2, max_size=12, unique=True)), dtype=float)
+    n = len(sites)
+    omegas = np.array(draw(st.lists(st.floats(1e14, 1e16), min_size=n, max_size=n)))
+    perm = np.array(draw(st.permutations(range(n))))
+    angles = draw(st.lists(st.floats(0, 2 * math.pi), min_size=3, max_size=3))
+    rotation = Rotation.from_euler("zyx", angles).as_matrix()
+    shift = np.array(draw(st.lists(st.floats(-20, 20), min_size=3, max_size=3)))
+    scale = draw(st.floats(1e-9, 1e-3))
+    g = pair_rate_matrix(ClockArray(omegas, scale * sites))
+    moved = pair_rate_matrix(ClockArray(omegas[perm], scale * (sites[perm] @ rotation.T + shift)))
+    return g, moved, perm
+
+
+@settings(max_examples=100, deadline=None)
+@given(form=st.sampled_from(sorted(_CLOSED_FORMS)), clouds=moved_clouds())
+def test_closed_forms_are_equivariant_under_permutation_and_rigid_motion(form, clouds):
+    g, moved, perm = clouds
+    want = _CLOSED_FORMS[form](g).per_clock[perm]
+    assert _CLOSED_FORMS[form](moved).per_clock == approx(want.tolist(), rel=1e-12)
 
 
 class TestInvariants:
