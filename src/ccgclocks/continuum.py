@@ -102,11 +102,15 @@ def continuum_sum(N: int, D: int, L_c: float, alpha: float) -> ContinuumEstimate
     S_D = SOLID_ANGLE[D]
     R = N ** (1.0 / D) * L_c
     power = D - 1.0 - alpha
-    if D == 1:
-        # two half-lines of N/2 clocks each
-        value = 2.0 * (S_D / L_c) * _radial_integral(L_c, (N / 2.0) * L_c, power)
-    else:
-        value = (S_D / L_c ** D) * _radial_integral(L_c, R, power)
+    try:
+        if D == 1:  # two half-lines of N/2 clocks each
+            value = 2.0 * (S_D / L_c) * _radial_integral(L_c, (N / 2.0) * L_c, power)
+        else:
+            value = (S_D / L_c ** D) * _radial_integral(L_c, R, power)
+    except (OverflowError, ZeroDivisionError):  # a power of L_c out of the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"continuum estimate at L_c={L_c!r} is out of the float range")
     return ContinuumEstimate(D=D, alpha=alpha, S_D=S_D, L_c=L_c, R=R, value=value)
 
 

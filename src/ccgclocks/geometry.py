@@ -153,7 +153,7 @@ class ClockArray:
     def center_index(self) -> int:
         """Index of the clock nearest the centroid (ties break to lowest index)."""
         centroid = self._positions.mean(axis=0)
-        return int(np.argmin(np.linalg.norm(self._positions - centroid, axis=1)))
+        return int(np.argmin(_distances(self._positions - centroid)))
 
     # -- JSON import/export ------------------------------------------------
 
@@ -200,7 +200,8 @@ class ClockArray:
 
 @dataclass(frozen=True)
 class PairRateMatrix:
-    """Symmetric N x N matrix of pair interaction rates, zero diagonal."""
+    """Symmetric N x N matrix of pair interaction rates, zero diagonal. A float
+    array g is frozen in place, not copied, because a copy costs N^2."""
 
     g: np.ndarray
     convention: FrequencyConvention = field(default=DEFAULT_CONVENTION)

@@ -478,9 +478,9 @@ class CoherenceTrace:
     magnitudes: np.ndarray  # shape (T, N)
 
     def __post_init__(self):
-        # a copy: freezing it below leaves the caller's array writeable
+        # copies: freezing them below leaves the caller's arrays writeable
         t = np.array(self.times, dtype=float).reshape(-1)
-        m = np.asarray(self.magnitudes, dtype=float)
+        m = np.array(self.magnitudes, dtype=float)
         if m.ndim != 2 or m.shape[0] != len(t):
             raise ValueError("magnitudes must have shape (len(times), n_clocks)")
         if not np.all((m >= -1e-12) & (m <= 0.5 + 1e-9)):  # NaN fails too

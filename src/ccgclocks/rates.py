@@ -20,8 +20,6 @@ at the cost of instantly dephasing the rest, so the objective is the sum.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -47,7 +45,8 @@ class MeasurementRates:
     """Free channel parameters: a pairwise matrix or a per-clock vector.
 
     Pairwise entry [i][j] is the rate of the measurement of clock i whose
-    record drives the feedback on clock j; it need not equal [j][i].
+    record drives the feedback on clock j; it need not equal [j][i]. A pairwise
+    float array is frozen in place, not copied, because a copy costs N^2.
     """
 
     mode: str
@@ -158,12 +157,6 @@ class DephasingReport:
                  for k, r in enumerate(map(repr, self.per_clock.tolist())))
         return rows
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerows(self.csv_rows())
-        return buf.getvalue()
-
 
 class OptimizeError(RuntimeError):
     """Raised when the optimizer hits its iteration cap; carries best-so-far."""
@@ -176,23 +169,22 @@ class OptimizeError(RuntimeError):
 
 # -- dephasing under given rates -------------------------------------------
 
+# Each quotient is written into a C-ordered buffer: numpy would lay it out in the
+# order of a strided gamma (the optimizer's probes), and rows would sum in another.
+
 def _pairwise_per_clock(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Per-clock pairwise dephasing; gamma may carry leading batch axes."""
-    n = g.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    terms = np.zeros(gamma.shape)
-    terms[..., off] = (gamma[..., off] / 2.0
-                       + g[off] ** 2 / (8.0 * np.swapaxes(gamma, -1, -2)[..., off]))
+    """Per-clock pairwise dephasing; gamma may carry leading batch axes. Its
+    diagonal is zero: the identity added to its transpose makes that term 0/8."""
+    terms = np.divide(g * g, 8.0 * (np.swapaxes(gamma, -1, -2) + np.eye(len(g))),
+                      out=np.empty(gamma.shape))
+    terms += gamma / 2.0
     return terms.sum(axis=-1)
 
 
 def _global_per_clock(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Per-clock global dephasing; gamma may carry leading batch axes."""
-    n = g.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    feed = np.zeros(gamma.shape + (n,))
-    feed[..., off] = g[off] ** 2 / (8.0 * np.broadcast_to(
-        gamma[..., None, :], feed.shape)[..., off])
+    """Per-clock global dephasing; gamma may carry leading batch axes. The zero
+    diagonal of g makes each clock's own feedback term 0."""
+    feed = np.divide(g * g, 8.0 * gamma[..., None, :], out=np.empty(gamma.shape + g.shape[:1]))
     return gamma / 2.0 + feed.sum(axis=-1)
 
 

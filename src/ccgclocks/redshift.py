@@ -58,7 +58,8 @@ class ExplicitAtoms:
     positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
+        # a copy: freezing it below leaves the caller's array writeable
+        pos = np.array(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or len(pos) == 0:
             raise ValueError("positions must be a non-empty (N, 3) array")
         if not np.all(np.isfinite(pos)):
@@ -104,7 +105,8 @@ class RedshiftDephasing:
                             rel_tol=1e-12, abs_tol=0.0):
             raise ValueError("total must equal measurement + feedback part")
         if self.position_diffusion is not None:
-            arr = np.asarray(self.position_diffusion, dtype=float)
+            # a copy: freezing it below leaves the caller's array writeable
+            arr = np.array(self.position_diffusion, dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, "position_diffusion", arr)
         object.__setattr__(self, "convention",

@@ -444,6 +444,9 @@ NON_FINITE_CONFIGS = {
     "lattice_constant_inf": ("scaling", {"kind": "scaling-sweep", "parameters": {
         "dimension": 2, "mode": "pairwise", "case": "A-free",
         "lattice_constant": math.inf}}),
+    # a finite lattice constant whose cube overflows in the continuum estimate
+    "lattice_constant_cube_overflow": ("scaling", {"kind": "scaling-sweep", "parameters": {
+        "dimension": 3, "mode": "pairwise", "case": "A-free", "lattice_constant": 1e110}}),
     "gamma_clock_nan": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
         REDSHIFT_SIMPLE["parameters"], gamma_clock=math.nan))),
     "gamma_clock_inf": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(

@@ -108,6 +108,12 @@ class TestLatticeSumExact:
         with pytest.raises(ValueError, match="not finite"):
             lattice_sum_exact(arr, 0, 1.0)
 
+    def test_center_sum_where_squared_distances_underflow(self):
+        # the sum of the true centre, clock 12, not clock 0's 9.05e170
+        arr = build_lattice(2, 1e-170, [5, 5], W15)
+        assert lattice_sum_exact(arr, arr.center_index(), 1.0) == approx(
+            1e170 * _center_sum_fast(2, 5, 1.0, 1.0), rel=1e-15)
+
 
 def full_grid_fsum(D, side, alpha, L_c):
     """Reference: fsum over every site of the full grid but the center."""
@@ -196,6 +202,15 @@ class TestContinuumSum:
             continuum_sum(10, 4, 1.0, 1.0)
         with pytest.raises(ValueError):
             ContinuumEstimate(D=2, alpha=1.0, S_D=1.0, L_c=1.0, R=2.0, value=1.0)
+
+    @pytest.mark.parametrize("args", [
+        (25, 2, 1e-170, 1.0),   # L_c^2 underflows to 0: a ZeroDivisionError
+        (125, 3, 1e110, 1.0),   # L_c^3 overflows: an OverflowError
+        (125, 3, 1e-103, 2.0),  # L_c^3 is subnormal and its inverse inf
+    ])
+    def test_lattice_constant_whose_power_leaves_the_float_range(self, args):
+        with pytest.raises(ValueError, match="out of the float range"):
+            continuum_sum(*args)
 
 
 class TestCompareSumVsIntegral:

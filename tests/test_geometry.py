@@ -72,6 +72,14 @@ class TestBuildLattice:
         c = even.positions[even.center_index(), 0]
         assert abs(c) == approx(0.5, rel=1e-6)  # nearest the centroid
 
+    @pytest.mark.parametrize("lc", [1e-170, 1e160])
+    @pytest.mark.parametrize("dimension,counts,center",
+                             [(2, [5, 5], 12), (3, [3, 3, 3], 13), (1, [7], 3)])
+    def test_center_index_where_squared_distances_under_or_overflow(
+            self, lc, dimension, counts, center):
+        # at 1e-170 every squared norm underflowed to 0 and clock 0 won the tie
+        assert build_lattice(dimension, lc, counts, W15).center_index() == center
+
 
 class TestPairInteractionRate:
     def test_petahertz_pair_at_300nm(self):

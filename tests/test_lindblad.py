@@ -599,12 +599,13 @@ class TestCoherence:
                            magnitudes=np.array([[0.7], [0.1]]))
 
     def test_times_are_copied(self):
-        # a view of the caller's times let the caller change a checked trace
-        times = np.array([0.0, 1.0])
-        trace = CoherenceTrace(times=times, magnitudes=np.array([[0.5], [0.25]]))
-        times[0] = -5.0
+        # a view of the caller's arrays let the caller change a checked trace
+        times, magnitudes = np.array([0.0, 1.0]), np.array([[0.5], [0.25]])
+        trace = CoherenceTrace(times=times, magnitudes=magnitudes)
+        times[0], magnitudes[0, 0] = -5.0, 0.7
         assert trace.times.tolist() == [0.0, 1.0]
-        assert times.flags.writeable
+        assert trace.magnitudes.tolist() == [[0.5], [0.25]]
+        assert times.flags.writeable and magnitudes.flags.writeable
 
     def test_nan_magnitudes_refused(self):
         with pytest.raises(ValueError, match=r"\[0, 1/2\]"):

@@ -364,10 +364,10 @@ _CLOSED_FORMS = {"pairwise": min_dephasing_pairwise_A, "global": min_dephasing_g
 
 
 @st.composite
-def clouds(draw):
-    """A PairRateMatrix of 2 to 8 clocks on distinct sites of a small grid."""
+def clouds(draw, max_clocks=8):
+    """A PairRateMatrix of 2 to max_clocks clocks on distinct sites of a small grid."""
     sites = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * 3),
-                          min_size=2, max_size=8, unique=True))
+                          min_size=2, max_size=max_clocks, unique=True))
     omegas = draw(st.lists(st.floats(1e14, 1e16), min_size=len(sites),
                            max_size=len(sites)))
     return pair_rate_matrix(ClockArray(np.array(omegas), 1e-7 * np.array(sites)))
@@ -393,6 +393,61 @@ def equivalent_sites(draw):
     omega = draw(st.floats(1e14, 1e16))
     return pair_rate_matrix(ClockArray(np.full(len(sites), omega),
                                        offset + scale * sites @ rotation.T))
+
+
+def masked_pairwise_per_clock(g, gamma):
+    """The pairwise kernel as boolean masks formed it: the reference for the
+    dense one."""
+    off = ~np.eye(len(g), dtype=bool)
+    terms = np.zeros(gamma.shape)
+    terms[..., off] = (gamma[..., off] / 2.0
+                       + g[off] ** 2 / (8.0 * np.swapaxes(gamma, -1, -2)[..., off]))
+    return terms.sum(axis=-1)
+
+
+def masked_global_per_clock(g, gamma):
+    """The global kernel as boolean masks formed it: the reference for the
+    dense one."""
+    n = len(g)
+    off = ~np.eye(n, dtype=bool)
+    feed = np.zeros(gamma.shape + (n,))
+    feed[..., off] = g[off] ** 2 / (8.0 * np.broadcast_to(
+        gamma[..., None, :], feed.shape)[..., off])
+    return gamma / 2.0 + feed.sum(axis=-1)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=clouds(max_clocks=14), layout=st.sampled_from(["probes", "transposed"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernels_on_strided_batches_match_the_masked_reference_bit_for_bit(g, layout, seed):
+    # A quotient laid out in a strided batch's order sums its rows in another
+    # order than for a contiguous one, and moves last bits.
+    mat, n = g.g, len(g)
+    rng = np.random.default_rng(seed)
+    x = np.log(mat[mat > 0]).mean() + rng.normal(0.0, 2.0, n)
+    pairwise = np.exp(x[:, None] + rng.normal(0.0, 2.0, (n, n, 3)))
+    pairwise[np.arange(n), np.arange(n)] = 0.0
+    if layout == "probes":
+        # as _newton probes x +- h e_k and optimize_rates picks their rates
+        e = 1e-5 * np.eye(n)
+        global_batch = np.exp(x + np.stack([e, -e]))[..., np.arange(n)]
+        pairwise_batch = np.moveaxis(pairwise, -1, 0)  # batch axis last in memory
+    else:
+        global_batch = np.exp(x + rng.normal(0.0, 2.0, (3, n))).T.copy().T
+        pairwise_batch = np.swapaxes(np.moveaxis(pairwise, -1, 0).copy(), -1, -2)
+    for kernel, reference, batch, ndim in (
+            (rates_module._global_per_clock, masked_global_per_clock, global_batch, 1),
+            (rates_module._pairwise_per_clock, masked_pairwise_per_clock, pairwise_batch, 2)):
+        assert not batch.flags.c_contiguous
+        got = kernel(mat, batch)
+        assert np.array_equal(bits(got), bits(reference(mat, batch)))
+        each = [kernel(mat, np.ascontiguousarray(batch[i]))
+                for i in np.ndindex(batch.shape[:-ndim])]
+        assert np.array_equal(bits(got).reshape(-1, n), bits(each))
 
 
 class TestOptimizerProperties:

@@ -9,6 +9,7 @@ from ccgclocks.constants import CONSTANTS, apply_convention
 from ccgclocks.redshift import (
     CompositeBody,
     ExplicitAtoms,
+    RedshiftDephasing,
     ShellShape,
     bound_parameters,
     composite_dephasing,
@@ -200,6 +201,17 @@ class TestCompositeDephasing:
             gamma / 2 + gi**2 / (8 * 0.5), rel=1e-12)
         out0 = composite_dephasing(body, (0, 0, 0), W15, gamma_z=0.0)
         assert np.isinf(out0.position_diffusion[0])
+
+    def test_atom_and_diffusion_arrays_are_copied(self):
+        # a view of the caller's array let the caller change a checked object
+        pos, diffusion = np.array([[1.0, 0.0, 0.0]]), np.array([2.0])
+        atoms = ExplicitAtoms(pos)
+        out = RedshiftDephasing(total=1.0, measurement_part=0.5, feedback_part=0.5,
+                                position_diffusion=diffusion)
+        pos[0, 0], diffusion[0] = math.nan, -5.0
+        assert atoms.positions.tolist() == [[1.0, 0.0, 0.0]]
+        assert out.position_diffusion.tolist() == [2.0]
+        assert pos.flags.writeable and diffusion.flags.writeable
 
 
 class TestSimpleParticle:
