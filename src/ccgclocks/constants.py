@@ -65,7 +65,11 @@ G_HBAR_OVER_C4 = CONSTANTS.G * CONSTANTS.hbar / CONSTANTS.c**4  # m s; g12 = thi
 
 def dephasing_prefactor(omega) -> float:
     """G hbar w^2 / (2 c^4), m/s, the factor before a clock's distance sum."""
-    return CONSTANTS.G * CONSTANTS.hbar * float(omega) ** 2 / (2.0 * CONSTANTS.c ** 4)
+    try:
+        return CONSTANTS.G * CONSTANTS.hbar * float(omega) ** 2 / (2.0 * CONSTANTS.c ** 4)
+    except OverflowError:  # a float w^2 overflows
+        raise ValueError(f"angular frequency {float(omega)!r} squared is out of the "
+                         "float range") from None
 
 
 def _check_scalar(value: float, name: str, nonnegative: bool = True) -> float:

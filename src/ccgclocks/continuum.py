@@ -52,10 +52,8 @@ def lattice_sum_exact(array: ClockArray, center_index: int, alpha: float) -> flo
     if not 0 <= center_index < n:
         raise ValueError(f"center index {center_index} out of range for {n} clocks")
     pos = array.positions
-    diff = np.delete(pos, center_index, axis=0)
-    with np.errstate(divide="ignore", over="ignore"):  # raised as ValueError
-        diff -= pos[center_index]
-        terms = _distances(diff) ** (-alpha)
+    with np.errstate(over="ignore"):  # raised as ValueError
+        terms = np.delete(_distances(pos, pos[center_index]), center_index) ** (-alpha)
     return _exact_sum(terms, f"distance sum for clock {center_index}")
 
 

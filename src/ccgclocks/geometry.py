@@ -152,8 +152,7 @@ class ClockArray:
 
     def center_index(self) -> int:
         """Index of the clock nearest the centroid (ties break to lowest index)."""
-        centroid = self._positions.mean(axis=0)
-        return int(np.argmin(_distances(self._positions - centroid)))
+        return int(np.argmin(_distances(self._positions, self._positions.mean(axis=0))))
 
     # -- JSON import/export ------------------------------------------------
 
@@ -275,12 +274,9 @@ def build_lattice(dimension: int, lattice_constant: float, counts,
 def pair_interaction_rate(clock1: ClockSpec, clock2: ClockSpec) -> Rate:
     """Interaction rate G hbar w1 w2 / (d c^4) for a single clock pair.
 
-    A squared distance that under- or overflows is taken again from the
-    scaled difference, as in `pair_rate_matrix`.
+    The distance comes from `_distances`, as in `pair_rate_matrix`.
     """
-    with np.errstate(over="ignore"):  # a difference past the float range is refused below
-        diff = np.subtract([clock1.position], [clock2.position])
-    d = float(_distances(diff)[0])
+    d = float(_distances([clock1.position], [clock2.position])[0])
     if d == 0.0:
         raise ValueError("coincident clocks have a singular interaction rate")
     if not d < np.inf:
@@ -297,9 +293,10 @@ def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
     that is the order in which numpy's einsum("ijk,ijk->ij") reduces the
     contiguous length-3 axis of a C-ordered difference tensor Δ, so every
     matrix keeps the bits of the one-shot formula
-    G·ħ·ω_iω_j / (c⁴·sqrt(einsum(Δ, Δ))). A squared distance that under- or
-    overflows is taken again from the scaled difference, so clocks 1e-170 m or
-    1e200 m apart get their representable rate.
+    G·ħ·ω_iω_j / (c⁴·sqrt(einsum(Δ, Δ))), and each rate is
+    G·ħ·(ω_i·ω_j) / (c⁴·`_distances`(p_i, p_j)). A cell whose squared distance
+    under- or overflows takes its length from `_distances`, so clocks 1e-170 m
+    or 1e200 m apart get their representable rate.
     """
     n = len(array)
     if n > _PAIR_MATRIX_LIMIT:
@@ -329,7 +326,7 @@ def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
             np.sqrt(d, out=d)
             if bad is not None:
                 # only a flagged cell can be zero or infinite after the sqrt
-                d[bad] = redone = _scaled_norm(pos[start + bad[0]] - pos[bad[1]])
+                d[bad] = redone = _distances(pos[start + bad[0]], pos[bad[1]])
                 if not redone.all():
                     k = np.flatnonzero(redone == 0.0)[0]
                     raise ValueError(
@@ -345,23 +342,21 @@ def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
     return PairRateMatrix(g, convention=array.convention)
 
 
-def _distances(diff: np.ndarray) -> np.ndarray:
-    """Lengths of the rows of the (M, 3) differences, summed as
-    np.linalg.norm(diff, axis=1) sums them; a row whose square under- or
-    overflows is taken again by `_scaled_norm`. A difference past the float
-    range gives a non-finite length, which callers refuse."""
+def _distances(a, b) -> np.ndarray:
+    """Lengths of the rows of a - b, for (M, 3) point sets or one point
+    against a set; the one place a length between points is formed. Squares
+    are summed as (dx² + dz²) + dy², the pair kernel's order. A row whose
+    square under- or overflows is taken again scaled by its largest
+    |component|; a difference past the float range gives a nan length, which
+    callers refuse."""
     with np.errstate(over="ignore", invalid="ignore"):
-        squared = (diff * diff).sum(axis=1)
+        diff = np.subtract(a, b)
+        dx, dy, dz = diff.T
+        squared = dx * dx + dz * dz + dy * dy
         d = np.sqrt(squared)
         bad = (squared < _TINY) | (squared == np.inf)
         if bad.any():
-            d[bad] = _scaled_norm(diff[bad])
+            s = np.abs(diff[bad]).max(axis=1)
+            dx, dy, dz = diff[bad].T / np.where(s > 0, s, 1.0)
+            d[bad] = s * np.sqrt(dx * dx + dz * dz + dy * dy)
     return d
-
-
-def _scaled_norm(v: np.ndarray) -> np.ndarray:
-    """Lengths of the rows of v, scaled by max|v| so no square under- or
-    overflows; a zero row has length 0."""
-    s = np.abs(v).max(axis=1)
-    u = v / np.where(s > 0, s, 1.0)[:, None]
-    return s * np.sqrt(np.einsum("ij,ij->i", u, u))

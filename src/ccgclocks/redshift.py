@@ -34,6 +34,7 @@ from .constants import (
     Rate,
 )
 from .continuum import _exact_sum
+from .geometry import _distances
 
 
 @dataclass(frozen=True)
@@ -138,15 +139,18 @@ class RedshiftDephasing:
 
 def redshift_coupling(mass: float, distance: float | np.ndarray, omega) -> float | np.ndarray:
     """Energy-position coupling G m w / (c^2 d^2), units Hz/m. An array of
-    distances gives one coupling per distance."""
+    distances gives one coupling per distance, a float distance a float."""
     if not (np.asarray(distance) > 0).all():  # NaN fails too
         raise ValueError("distance must be positive")
     if mass < 0:
         raise ValueError("mass must be non-negative")
-    try:
-        return CONSTANTS.G * mass * float(omega) / (CONSTANTS.c ** 2 * distance ** 2)
-    except (OverflowError, ZeroDivisionError):  # a float d^2 overflows, or is 0
-        raise ValueError(f"distance {distance!r} squared is out of the float range") from None
+    with np.errstate(over="ignore"):  # an overflowing square is refused below
+        squared = distance * distance
+    fits = np.ravel((squared > 0) & (squared < np.inf))
+    if not fits.all():
+        bad = float(np.ravel(distance)[np.argmin(fits)])
+        raise ValueError(f"distance {bad!r} squared is out of the float range")
+    return CONSTANTS.G * mass * float(omega) / (CONSTANTS.c ** 2 * squared)
 
 
 def internal_measurement_rate(atom_mass: float, lattice_constant: float) -> PositionMeasurementRate:
@@ -154,8 +158,13 @@ def internal_measurement_rate(atom_mass: float, lattice_constant: float) -> Posi
     between neighboring atoms of the body itself."""
     if not (atom_mass > 0 and lattice_constant > 0):
         raise ValueError("atom mass and lattice constant must be positive")
-    return PositionMeasurementRate(
-        CONSTANTS.G * atom_mass ** 2 / (CONSTANTS.hbar * lattice_constant ** 3))
+    try:
+        return PositionMeasurementRate(
+            CONSTANTS.G * atom_mass ** 2 / (CONSTANTS.hbar * lattice_constant ** 3))
+    except (OverflowError, ZeroDivisionError):  # a float m^2 or L_c^3 leaves the range
+        raise ValueError(f"the position measurement rate of atoms of mass {atom_mass!r} "
+                         f"at lattice constant {lattice_constant!r} is out of the "
+                         "float range") from None
 
 
 def _clock_rate(gamma_z) -> float:
@@ -225,8 +234,7 @@ def composite_dephasing(body: CompositeBody, clock_position, omega, gamma_z, *,
     clock = np.asarray(clock_position, dtype=float)
     if clock.shape != (3,) or not np.all(np.isfinite(clock)):
         raise ValueError("clock position must be three finite coordinates")
-    with np.errstate(over="ignore"):  # an overflowing distance is refused below
-        d = np.linalg.norm(body.shape.positions - clock, axis=1)
+    d = _distances(body.shape.positions, clock)
     if not np.all(np.isfinite(d)):
         k = int(np.argmin(np.isfinite(d)))
         raise ValueError(f"the distance from the clock to atom {k} is not finite")

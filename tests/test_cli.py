@@ -467,6 +467,18 @@ NON_FINITE_CONFIGS = {
     "simple_body_overflow": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
         REDSHIFT_SIMPLE["parameters"], body=dict(
             REDSHIFT_SIMPLE["parameters"]["body"], mass=1e200, distance=1.0)))),
+    # a crystal whose L_c^3 overflows, or underflows to zero, in its measurement rate
+    "crystal_lattice_constant_overflow": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
+        REDSHIFT_SIMPLE["parameters"], body={
+            "kind": "crystal", "atom_mass": 1e-25, "lattice_constant": 1e110,
+            "positions": [[1e-6, 0, 0]], "clock_position": [0, 0, 0]}))),
+    "crystal_lattice_constant_underflow": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
+        REDSHIFT_SIMPLE["parameters"], body={
+            "kind": "crystal", "atom_mass": 1e-25, "lattice_constant": 1e-110,
+            "positions": [[1e-6, 0, 0]], "clock_position": [0, 0, 0]}))),
+    # a sweep whose frequency squared overflows in the dephasing prefactor
+    "sweep_frequency_overflow": ("scaling", {"kind": "scaling-sweep", "parameters": {
+        "dimension": 2, "mode": "pairwise", "case": "A-free", "quoted_frequency": 1e160}}),
 }
 
 

@@ -131,3 +131,10 @@ def test_shared_prefactors_keep_their_operation_order(omega):
     G, hbar, c = CONSTANTS.G, CONSTANTS.hbar, CONSTANTS.c
     assert dephasing_prefactor(omega) == G * hbar * omega ** 2 / (2.0 * c ** 4)
     assert G_HBAR_OVER_C4 == G * hbar / c**4
+
+
+@pytest.mark.parametrize("omega", [1e160, 1e300])
+def test_prefactor_whose_frequency_squared_overflows_is_typed(omega):
+    # a Python float w ** 2 raised OverflowError
+    with pytest.raises(ValueError, match="squared is out of the float range"):
+        dephasing_prefactor(omega)

@@ -264,6 +264,22 @@ def test_blocked_kernel_equals_the_one_shot_formula(arr):
     assert np.array_equal(pair_rate_matrix(arr).g, _one_shot(arr))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40),
+       st.sampled_from([1e-170, 1e-6, 1.0, 1e150, 1e160]))
+def test_every_pair_rate_divides_by_the_one_distance_kernel(seed, n, scale):
+    # 1e-170 and 1e160 clouds have cells whose squared distance under- or
+    # overflows, which the kernel takes from _distances; the others must
+    # match them in (dx² + dz²) + dy² order
+    rng = np.random.default_rng(seed)
+    arr = ClockArray(rng.uniform(1e14, 1e16, size=n), rng.normal(size=(n, 3)) * scale)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    pos, omegas = arr.positions, arr.omegas
+    want = G_HBAR_OVER_C4 * (omegas[i] * omegas[j]) / geometry._distances(pos[i], pos[j])
+    got = pair_rate_matrix(arr).g[i, j]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_matrix_scaling_laws():
     rng = np.random.default_rng(3)
     pos = rng.uniform(0, 1e-5, size=(4, 3))

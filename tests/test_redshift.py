@@ -1,9 +1,11 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccgclocks.constants import CONSTANTS, apply_convention
 from ccgclocks.redshift import (
@@ -70,7 +72,7 @@ class TestRedshiftCoupling:
         d = np.array([0.5, 1.0, 2.0, 6.371e6])
         got = redshift_coupling(3.0, d, W15)
         expected = [redshift_coupling(3.0, float(x), W15) for x in d]
-        np.testing.assert_allclose(got, expected, rtol=5e-16, atol=0)
+        assert got.tolist() == expected  # one d * d path for floats and arrays
         assert isinstance(redshift_coupling(3.0, 2.0, W15), float)
         with pytest.raises(ValueError, match="distance must be positive"):
             redshift_coupling(3.0, np.array([1.0, 0.0]), W15)
@@ -79,9 +81,14 @@ class TestRedshiftCoupling:
 
     @pytest.mark.parametrize("distance", [1e200, 1e-200])
     def test_distance_squared_out_of_float_range_is_typed(self, distance):
-        # a Python float d ** 2 overflows, or underflows to zero and divides
-        with pytest.raises(ValueError, match="out of the float range"):
-            redshift_coupling(1.0, distance, W15)
+        # d * d overflows, or underflows to zero and divides, for a float
+        # distance and an array entry alike, with no RuntimeWarning
+        message = f"distance {distance!r} squared is out of the float range"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (distance, np.array([1.0, distance, 2.0])):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    redshift_coupling(1.0, d, W15)
 
 
 class TestInternalMeasurementRate:
@@ -103,6 +110,12 @@ class TestInternalMeasurementRate:
     def test_validation(self):
         with pytest.raises(ValueError):
             internal_measurement_rate(0.0, 1e-10)
+
+    @pytest.mark.parametrize("mass,spacing", [(1.0, 1e110), (1e160, 1.0), (1.0, 1e-110)])
+    def test_rate_out_of_the_float_range_is_typed(self, mass, spacing):
+        # L_c^3 or m^2 overflows as a Python float, or L_c^3 underflows to 0 and divides
+        with pytest.raises(ValueError, match="position measurement rate .* out of the float"):
+            internal_measurement_rate(mass, spacing)
 
 
 class TestShellDephasing:
@@ -248,16 +261,15 @@ class TestSimpleParticle:
     @given(m=_log_uniform(-27, 30), d=_log_uniform(-6, 6), omega=_log_uniform(3, 20),
            gi=_log_uniform(-30, 30),
            gz=st.one_of(st.just(0.0), _log_uniform(-30, 30)))
+    @example(m=1.0, d=2.759, omega=1e15, gi=1.0, gz=0.0)  # libm 2.759 ** 2 != 2.759 * 2.759
     def test_single_atom_composite_consistency(self, m, d, omega, gi, gz):
-        # one kernel: the simple body is the one-atom crystal at the same rate;
-        # a scalar d ** 2 and an array d ** 2 may differ in their last bit
+        # one kernel: the simple body is the one-atom crystal at the same rate
         simple = simple_particle_dephasing(m, d, omega, gi, gz)
         body = CompositeBody(m, d, ExplicitAtoms(np.array([[d, 0.0, 0.0]])))
         comp = composite_dephasing(body, (0, 0, 0), omega, gz, gamma_atoms=gi)
-        for a, b in ((comp.total, simple.total),
-                     (comp.feedback_part, simple.feedback_part),
-                     (comp.position_diffusion, simple.position_diffusion)):
-            np.testing.assert_allclose(a, b, rtol=2e-15, atol=0)
+        assert comp.total == simple.total
+        assert comp.feedback_part == simple.feedback_part
+        assert np.array_equal(comp.position_diffusion, simple.position_diffusion)
 
     def test_omega_squared_scaling(self):
         f1 = simple_particle_dephasing(1e20, 1e6, W15, 1.0, 0.0).feedback_part
@@ -347,10 +359,16 @@ def test_clock_position_must_be_three_finite_coordinates(clock):
 
 
 def test_overflowing_clock_atom_distance_is_refused():
-    # finite coordinates whose distance overflows: no warning, a typed error
+    # finite coordinates whose distance squared overflows: no warning, a typed error
     body = CompositeBody(1.0, 0.1, ExplicitAtoms(np.array([[1.0, 0, 0], [1e160, 0, 0]])))
-    with pytest.raises(ValueError, match="distance from the clock to atom 1 is not finite"):
-        composite_dephasing(body, (0, 0, 0), W15, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"distance 1e\+160 squared is out of the float"):
+            composite_dephasing(body, (0, 0, 0), W15, 0.1)
+        # the difference itself overflows
+        body = CompositeBody(1.0, 0.1, ExplicitAtoms(np.array([[1e308, 0, 0]])))
+        with pytest.raises(ValueError, match="distance from the clock to atom 0 is not finite"):
+            composite_dephasing(body, (-1e308, 0, 0), W15, 0.1)
 
 
 @pytest.mark.parametrize("gz", [0.5, 0.0])
