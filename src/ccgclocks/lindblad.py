@@ -572,6 +572,9 @@ def coherence_decay_rate(trace: CoherenceTrace, clock: int = 0,
     if np.any(y <= 0):
         raise ValueError("coherence reaches zero: not an exponential decay")
     logy = np.log(y)
+    if not (last := float(trace.times[-1])) * last >= np.finfo(float).tiny:  # polyfit squares t
+        raise ValueError(f"sample time {last!r} squared is below the smallest normal "
+                         "float: too short to fit")
     slope, intercept = np.polyfit(trace.times, logy, 1)
     resid = float(np.sqrt(np.mean((logy - (slope * trace.times + intercept)) ** 2)))
     if resid > residual_threshold:

@@ -188,19 +188,23 @@ def _global_per_clock(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return gamma / 2.0 + feed.sum(axis=-1)
 
 
+def _refuse_overflowing_squares(g: np.ndarray) -> None:
+    """Refuse pair rates whose largest square leaves the float range."""
+    if (top := float(np.max(g, initial=0.0))) * top == math.inf:
+        raise ValueError(f"pair rate {top!r} squared is out of the float range")
+
+
 def dephasing_given_rates(g: PairRateMatrix, rates: MeasurementRates) -> DephasingReport:
     """Per-clock dephasing for explicitly chosen measurement rates."""
     n = len(g)
     if len(rates) != n:
         raise ValueError(f"rates are for {len(rates)} clocks but the matrix has {n}")
-    if rates.mode == "pairwise":
-        per_clock = _pairwise_per_clock(g.g, rates.pairwise_gamma)
-        formula = "pairwise-sum"
-    else:
-        per_clock = _global_per_clock(g.g, rates.global_gamma)
-        formula = "global-sum"
+    _refuse_overflowing_squares(g.g)
+    with np.errstate(over="ignore"):  # DephasingReport refuses a quotient past the range
+        per_clock = (_pairwise_per_clock(g.g, rates.pairwise_gamma) if rates.mode == "pairwise"
+                     else _global_per_clock(g.g, rates.global_gamma))
     return DephasingReport(per_clock, rates.mode, "given-rates",
-                           convention=g.convention, formula_id=formula)
+                           convention=g.convention, formula_id=f"{rates.mode}-sum")
 
 
 # -- closed-form minima ------------------------------------------------------
@@ -230,6 +234,7 @@ def min_dephasing_global_A(g: PairRateMatrix) -> DephasingReport:
     summed rate equals the optimizer's objective for any geometry.
     """
     mat = g.g
+    _refuse_overflowing_squares(mat)
     s = np.sqrt((mat ** 2).sum(axis=1))
     per_clock = 0.5 * s
     optimal = MeasurementRates("global", global_gamma=s / 2.0) if np.all(s > 0) else None
@@ -254,6 +259,7 @@ def min_dephasing_pairwise_B(g: PairRateMatrix) -> DephasingReport:
     if n < 2:
         raise ValueError("the fixed-rate minimum is undefined for a single clock")
     mat = g.g
+    _refuse_overflowing_squares(mat)
     s2 = (mat ** 2).sum(axis=1)
     per_clock = (math.sqrt(n - 1) / 2.0) * np.sqrt(s2)
     total_sq = float(s2.sum())
@@ -283,6 +289,7 @@ def min_dephasing_global_B(g: PairRateMatrix) -> DephasingReport:
     if n < 2:
         raise ValueError("the fixed-rate minimum is undefined for a single clock")
     mat = g.g
+    _refuse_overflowing_squares(mat)
     s2 = (mat ** 2).sum(axis=1)
     per_clock = 0.5 * np.sqrt(s2)
     total_sq = float(s2.sum())
@@ -372,6 +379,7 @@ def optimize_rates(g: PairRateMatrix, mode: str) -> tuple[MeasurementRates, Deph
     off = ~np.eye(n, dtype=bool)
     if not np.all(mat[off] > 0):
         raise ValueError("optimization requires strictly positive pair rates")
+    _refuse_overflowing_squares(mat)
     slots = n * (n - 1) if channel == "pairwise" else n
     pick = np.zeros(slots, dtype=int) if shared else np.arange(slots)
     kernel = _pairwise_per_clock if channel == "pairwise" else _global_per_clock

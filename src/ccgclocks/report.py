@@ -1,10 +1,11 @@
 """Comparison of computed rates against published headline estimates.
 
-Each claim is evaluated under both frequency conventions and, where the
-channel arrangement is ambiguous, under both channel modes (and lattice
-dimensions). Disagreements are reported as data, never corrected: the row
-closest to the reference value is marked, and the claim status is graded as
-reproduced (within x10), order-compatible (within x100) or discrepant.
+The claims are one table, `_CLAIMS`. Each parameter preset is evaluated once
+per frequency convention and yields rows for its claims, under both channel
+modes (and lattice dimensions) where the arrangement is ambiguous.
+Disagreements are reported as data, never corrected: the row closest to the
+reference value is marked, and the claim status is graded as reproduced
+(within x10), order-compatible (within x100) or discrepant.
 """
 
 from __future__ import annotations
@@ -154,97 +155,76 @@ def atoms_for_target_rate(target_rate: float, dimension: int,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _two_clock_rates():
-    """(convention, omega, half the pair rate) of the petahertz pair."""
-    p = PRESETS["petahertz-pair"]
-    rates = []
-    for conv in CONVENTIONS:
-        w = apply_convention(p["quoted_frequency"], conv)
-        c1 = ClockSpec(w, (0.0, 0.0, 0.0))
-        c2 = ClockSpec(w, (p["separation"], 0.0, 0.0))
-        rates.append((conv, w, float(_pair_rate(c1, c2)) / 2.0))
-    return rates
+# (claim id, description, reference value, unit), in report order
+_CLAIMS = (
+    ("two-clock-300nm", "minimum dephasing rate of two petahertz clocks 300 nm apart",
+     1e-42, "Hz"),
+    ("fractional-uncertainty", "fractional frequency uncertainty needed to observe "
+     "the two-clock rate", 1e-57, "dimensionless"),
+    ("array-1e6-800nm", "minimum dephasing rate for 10^6 lattice clocks at 800 nm "
+     "spacing", 1e-40, "Hz"),
+    ("array-1e23-1fm", "minimum dephasing rate for 10^23 high-frequency clocks at "
+     "1 fm spacing", 1.0, "Hz"),
+    ("mossbauer-linewidth", "minimum gamma-ray linewidth for one mole of metallic "
+     "silver", 1e-11, "Hz"),
+    ("mossbauer-atom-count", "silver atom count at which the linewidth reaches 1 mHz",
+     1e36, "atoms"),
+    ("earth-gamma-i", "lower bound on the position measurement rate from clock "
+     "experiments", 10.0, "Hz m^-2"),
+    ("earth-gamma-z", "upper bound on the clock measurement rate from clock "
+     "experiments", 1e-4, "Hz"),
+)
+
+_FREE_MINIMA = (("pairwise", "pairwise-free-min"), ("global", "global-free-min"))
 
 
-def _multiparticle_rows(preset_key: str, dimensions) -> list:
-    p = PRESETS[preset_key]
-    rows = []
-    for conv in CONVENTIONS:
-        w = float(apply_convention(p["quoted_frequency"], conv))
-        for mode, formula in (("pairwise", "pairwise-free-min"),
-                              ("global", "global-free-min")):
-            for dim in dimensions:
-                rows.append((conv.value, mode, dim, formula + "-continuum",
-                             array_minimum_rate(p["n_clocks"], dim,
-                                                p["lattice_constant"], w, mode)))
+def _pair_rows(p, w):
+    rate = float(_pair_rate(ClockSpec(w, (0.0, 0.0, 0.0)),
+                            ClockSpec(w, (p["separation"], 0.0, 0.0)))) / 2.0
+    return [("two-clock-300nm", "pairwise", None, "pair-rate-half", rate),
+            ("fractional-uncertainty", "pairwise", None, "rate-over-omega", rate / w)]
+
+
+def _array_rows(claim_id, dimensions):
+    def rows(p, w):
+        return [(claim_id, mode, dim, formula + "-continuum",
+                 array_minimum_rate(p["n_clocks"], dim, p["lattice_constant"], w, mode))
+                for mode, formula in _FREE_MINIMA for dim in dimensions]
     return rows
 
 
+def _silver_rows(p, w):
+    return _array_rows("mossbauer-linewidth", (3,))(p, w) + [
+        ("mossbauer-atom-count", mode, 3, formula + "-inverted",
+         atoms_for_target_rate(1e-3, 3, p["lattice_constant"], w, mode))
+        for mode, formula in _FREE_MINIMA]
+
+
+def _earth_rows(p, w):
+    gi, gz = bound_parameters(p["dephasing_cap"], p["mass"], p["distance"], w)
+    return [("earth-gamma-i", "global", None, "bound-feedback-term", float(gi)),
+            ("earth-gamma-z", "global", None, "bound-measurement-term", float(gz))]
+
+
+# preset -> evaluator of (preset, angular frequency) into
+# (claim id, mode, dimension, formula id, value) rows
+_EVALUATORS = {
+    "petahertz-pair": _pair_rows,
+    "optical-lattice-1e6": _array_rows("array-1e6-800nm", (1, 2, 3)),
+    "dense-matter-1e23": _array_rows("array-1e23-1fm", (3,)),
+    "silver-mossbauer": _silver_rows,
+    "earth-clock": _earth_rows,
+}
+
+
 def paper_report() -> PaperReport:
-    """Evaluate every headline claim under all relevant combinations."""
-    entries = []
-    pair = _two_clock_rates()
-
-    entries.append(_finish(
-        "two-clock-300nm",
-        "minimum dephasing rate of two petahertz clocks 300 nm apart",
-        1e-42, "Hz",
-        [(conv.value, "pairwise", None, "pair-rate-half", rate) for conv, w, rate in pair]))
-
-    entries.append(_finish(
-        "fractional-uncertainty",
-        "fractional frequency uncertainty needed to observe the two-clock rate",
-        1e-57, "dimensionless",
-        [(conv.value, "pairwise", None, "rate-over-omega", rate / float(w))
-         for conv, w, rate in pair]))
-
-    entries.append(_finish(
-        "array-1e6-800nm",
-        "minimum dephasing rate for 10^6 lattice clocks at 800 nm spacing",
-        1e-40, "Hz", _multiparticle_rows("optical-lattice-1e6", (1, 2, 3))))
-
-    entries.append(_finish(
-        "array-1e23-1fm",
-        "minimum dephasing rate for 10^23 high-frequency clocks at 1 fm spacing",
-        1.0, "Hz", _multiparticle_rows("dense-matter-1e23", (3,))))
-
-    entries.append(_finish(
-        "mossbauer-linewidth",
-        "minimum gamma-ray linewidth for one mole of metallic silver",
-        1e-11, "Hz", _multiparticle_rows("silver-mossbauer", (3,))))
-
-    count_rows = []
-    p = PRESETS["silver-mossbauer"]
+    """Evaluate every headline claim under all relevant combinations: each
+    preset once per convention, the rows gathered per claim."""
+    rows = {claim[0]: [] for claim in _CLAIMS}
     for conv in CONVENTIONS:
-        w = float(apply_convention(p["quoted_frequency"], conv))
-        for mode, formula in (("pairwise", "pairwise-free-min"),
-                              ("global", "global-free-min")):
-            count_rows.append((conv.value, mode, 3, formula + "-inverted",
-                               atoms_for_target_rate(1e-3, 3,
-                                                     p["lattice_constant"],
-                                                     w, mode)))
-    entries.append(_finish(
-        "mossbauer-atom-count",
-        "silver atom count at which the linewidth reaches 1 mHz",
-        1e36, "atoms", count_rows))
-
-    earth = PRESETS["earth-clock"]
-    gi_rows, gz_rows = [], []
-    for conv in CONVENTIONS:
-        w = apply_convention(earth["quoted_frequency"], conv)
-        gi, gz = bound_parameters(earth["dephasing_cap"], earth["mass"],
-                                  earth["distance"], w)
-        gi_rows.append((conv.value, "global", None, "bound-feedback-term",
-                        float(gi)))
-        gz_rows.append((conv.value, "global", None, "bound-measurement-term",
-                        float(gz)))
-    entries.append(_finish(
-        "earth-gamma-i",
-        "lower bound on the position measurement rate from clock experiments",
-        10.0, "Hz m^-2", gi_rows))
-    entries.append(_finish(
-        "earth-gamma-z",
-        "upper bound on the clock measurement rate from clock experiments",
-        1e-4, "Hz", gz_rows))
-
-    return PaperReport(entries=tuple(entries))
+        for key, evaluate in _EVALUATORS.items():
+            p = PRESETS[key]
+            w = float(apply_convention(p["quoted_frequency"], conv))
+            for claim_id, *row in evaluate(p, w):
+                rows[claim_id].append((conv.value, *row))
+    return PaperReport(entries=tuple(_finish(*claim, rows[claim[0]]) for claim in _CLAIMS))

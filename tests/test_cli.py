@@ -12,7 +12,12 @@ import pytest
 
 from ccgclocks import cli
 from ccgclocks.cli import main
-from ccgclocks.report import atoms_for_target_rate, array_minimum_rate, paper_report
+from ccgclocks import report
+from ccgclocks.constants import apply_convention
+from ccgclocks.geometry import ClockSpec, pair_interaction_rate
+from ccgclocks.redshift import bound_parameters
+from ccgclocks.report import (PRESETS, atoms_for_target_rate, array_minimum_rate,
+                              paper_report)
 from ccgclocks.scenarios import emit_plot_data, run_scenario, validate_scenario
 
 
@@ -430,6 +435,9 @@ REDSHIFT_SIMPLE = {"kind": "redshift", "parameters": {
     "body": {"kind": "simple", "mass": 5.97e24, "distance": 6.371e6, "gamma_position": 15.0},
     "quoted_frequency": 1e15, "gamma_clock": 0.1}}
 
+TINY_CHAIN = {"lattice": {"dimension": 1, "lattice_constant": 1e-320, "counts": [4],
+                          "quoted_frequency": 1e15}}
+
 # configs whose numbers JSON reads as NaN or Infinity, which the schemas
 # cannot refuse, or whose results overflow: the runners refuse them before
 # any artifact is written
@@ -479,6 +487,25 @@ NON_FINITE_CONFIGS = {
     # a sweep whose frequency squared overflows in the dephasing prefactor
     "sweep_frequency_overflow": ("scaling", {"kind": "scaling-sweep", "parameters": {
         "dimension": 2, "mode": "pairwise", "case": "A-free", "quoted_frequency": 1e160}}),
+    # a 4-clock chain 1e-320 m apart, whose pair rates square past the float range
+    **{f"rates_{mode}_{case}_square_overflow": ("rates", {"kind": "rates", "parameters": {
+        "geometry": TINY_CHAIN, "mode": mode, "case": case}})
+       for mode, case in (("global", "A-free"), ("pairwise", "B-fixed"), ("global", "B-fixed"))},
+    **{f"rates_given_{mode}_square_overflow": ("rates", {"kind": "rates", "parameters": {
+        "geometry": TINY_CHAIN, "mode": mode, "case": "given-rates", "gamma": gamma}})
+       for mode, gamma in (
+           ("pairwise", {"pairwise": [[float(i != j) for j in range(4)] for i in range(4)]}),
+           ("global", {"global": [1.0] * 4}))},
+    **{f"optimize_{mode}_square_overflow": ("optimize", {"kind": "optimize", "parameters": {
+        "geometry": TINY_CHAIN, "mode": mode}})
+       for mode in ("pairwise", "global", "fixed-scalar", "fixed-scalar-global")},
+    # squares that fit, but a quotient g^2 / (8 Gamma) past the float range
+    "rates_given_global_quotient_overflow": ("rates", {"kind": "rates", "parameters": {
+        "geometry": {"lattice": dict(TINY_CHAIN["lattice"], lattice_constant=1e-200)},
+        "mode": "global", "case": "given-rates", "gamma": {"global": [1e-300] * 4}}}),
+    "simulate_global_coupling_square_overflow": ("simulate", {"kind": "simulate", "parameters": {
+        "kind": "ccg-global", "initial_state": ["plus", "plus"],
+        "coupling_matrix": [[0.0, 1e200], [1e200, 0.0]], "times": {"stop": 1.0, "num": 3}}}),
 }
 
 
@@ -495,6 +522,34 @@ def test_non_finite_numbers_exit_3_without_artifacts(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: computation failed:") and "Warning" not in err
     assert "Traceback" not in err
+
+
+def test_pairwise_free_minimum_squares_nothing(tmp_path, capsys):
+    config = {"kind": "rates", "parameters": {
+        "geometry": TINY_CHAIN, "mode": "pairwise", "case": "A-free"}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["rates", "--config", str(write_config(tmp_path, config)),
+                     "--out", str(tmp_path / "o")])
+    assert code == 0 and capsys.readouterr().err == ""
+    written = json.loads((tmp_path / "o" / "rates.json").read_text())
+    assert written["report"]["per_clock_hz"][0] > 1e271
+
+
+@pytest.mark.parametrize("stop", [1e-170, 1e-320])
+def test_fit_on_times_whose_squares_underflow_is_refused_quietly(tmp_path, capfd, stop):
+    config = dict(SIMULATE_CONFIG, parameters=dict(
+        SIMULATE_CONFIG["parameters"], times={"stop": stop, "num": 11}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", str(write_config(tmp_path, config)),
+                     "--out", str(tmp_path / "o")])
+    assert code == 0
+    summary = json.loads((tmp_path / "o" / "simulate.json").read_text())
+    assert summary["fitted_decay_rate"] is None
+    assert "squared is below the smallest normal float" in summary["fit_error"]
+    out, err = capfd.readouterr()  # LAPACK writes its complaints to the C stdout
+    assert "DLASCL" not in out + err and "Warning" not in err
 
 
 class TestPaperReport:
@@ -539,6 +594,56 @@ class TestPaperReport:
         n_g = atoms_for_target_rate(1e-3, 3, 1e-10, 8e17, "global")
         back_g = array_minimum_rate(n_g, 3, 1e-10, 8e17, "global")
         assert back_g == approx(1e-3, rel=1e-9)
+
+    CLAIM_PRESETS = {
+        "two-clock-300nm": "petahertz-pair", "fractional-uncertainty": "petahertz-pair",
+        "array-1e6-800nm": "optical-lattice-1e6", "array-1e23-1fm": "dense-matter-1e23",
+        "mossbauer-linewidth": "silver-mossbauer", "mossbauer-atom-count": "silver-mossbauer",
+        "earth-gamma-i": "earth-clock", "earth-gamma-z": "earth-clock",
+    }
+
+    @staticmethod
+    def public_value(row, p):
+        """The value of `row` from the public call its formula id names."""
+        w = float(apply_convention(p["quoted_frequency"], row.convention))
+        if row.formula_id.endswith("-continuum"):
+            return array_minimum_rate(p["n_clocks"], row.dimension, p["lattice_constant"],
+                                      w, row.mode)
+        if row.formula_id.endswith("-inverted"):
+            return atoms_for_target_rate(1e-3, 3, p["lattice_constant"], w, row.mode)
+        if row.formula_id.startswith("bound-"):
+            gi, gz = bound_parameters(p["dephasing_cap"], p["mass"], p["distance"], w)
+            return float(gi if row.formula_id == "bound-feedback-term" else gz)
+        half = float(pair_interaction_rate(ClockSpec(w, (0.0, 0.0, 0.0)),
+                                           ClockSpec(w, (p["separation"], 0.0, 0.0)))) / 2.0
+        return {"pair-rate-half": half, "rate-over-omega": half / w}[row.formula_id]
+
+    def test_every_row_is_the_public_call_its_formula_names(self):
+        for entry in paper_report().entries:
+            p = PRESETS[self.CLAIM_PRESETS[entry.claim_id]]
+            for row in entry.rows:
+                assert row.value.hex() == self.public_value(row, p).hex(), (entry.claim_id, row)
+                if row.formula_id.endswith(("-continuum", "-inverted")):
+                    assert row.formula_id.startswith(row.mode)
+
+    def test_rows_are_convention_major(self):
+        for entry in paper_report().entries:
+            half = len(entry.rows) // 2
+            assert [r.convention for r in entry.rows] == (
+                ["direct"] * half + ["times-two-pi"] * half)
+            assert ([(r.mode, r.dimension, r.formula_id) for r in entry.rows[:half]]
+                    == [(r.mode, r.dimension, r.formula_id) for r in entry.rows[half:]])
+
+    def test_each_preset_is_evaluated_once_per_convention(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(report, "_EVALUATORS", {
+            key: (lambda p, w, key=key, evaluate=evaluate:
+                  calls.append((key, w)) or evaluate(p, w))
+            for key, evaluate in report._EVALUATORS.items()})
+        paper_report()
+        assert sorted(calls) == sorted(
+            (key, float(apply_convention(p["quoted_frequency"], conv)))
+            for key, p in PRESETS.items() for conv in report.CONVENTIONS)
 
 
 def test_emit_plot_data_empty_is_header_only():

@@ -289,6 +289,31 @@ class TestClosedForms:
             min_dephasing_global_A(g).per_clock.tolist(), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+class TestOverflowingSquares:
+    """A pair rate whose square leaves the float range is refused, naming the
+    rate and without a warning, before any kernel squares it."""
+
+    @pytest.mark.parametrize("solve", [
+        min_dephasing_global_A, min_dephasing_pairwise_B, min_dephasing_global_B,
+        lambda g: dephasing_given_rates(g, MeasurementRates("global", global_gamma=[1.0] * 2)),
+        lambda g: dephasing_given_rates(g, MeasurementRates(
+            "pairwise", pairwise_gamma=[[0.0, 1.0], [1.0, 0.0]])),
+        *(lambda g, m=mode: optimize_rates(g, m) for mode in sorted(rates_module._MODES)),
+    ], ids=["global_A", "pairwise_B", "global_B", "given_global", "given_pairwise",
+            *(f"optimize_{mode}" for mode in sorted(rates_module._MODES))])
+    def test_refused_naming_the_rate(self, solve):
+        with pytest.raises(ValueError, match=r"pair rate 1e\+200 squared is out of the float"):
+            solve(two_clock_matrix(1e200))
+
+    @pytest.mark.parametrize("mode", ["pairwise", "global"])
+    def test_given_rates_quotient_past_the_range_is_refused(self, mode):
+        gamma = ([[0.0, 1e-300], [1e-300, 0.0]] if mode == "pairwise" else [1e-300] * 2)
+        rates = MeasurementRates(mode, **{f"{mode}_gamma": gamma})
+        with pytest.raises(ValueError, match="per-clock dephasing rates must be finite"):
+            dephasing_given_rates(two_clock_matrix(1e150), rates)
+
+
 class TestOptimizer:
     def test_iteration_cap_error_carries_best_point(self, monkeypatch):
         monkeypatch.setattr(rates_module, "ITERATION_CAP", 1)
