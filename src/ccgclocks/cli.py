@@ -83,9 +83,8 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     config.setdefault("kind", kind)
 
-    convention = {"2pi": "times-two-pi"}.get(args.convention, args.convention)
     try:
-        written = run_scenario(config, args.out, convention_override=convention)
+        written = run_scenario(config, args.out, convention_override=args.convention)
     except (ValueError, RuntimeError) as exc:
         print(f"error: computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION

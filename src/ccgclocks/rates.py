@@ -194,6 +194,17 @@ def _refuse_overflowing_squares(g: np.ndarray) -> None:
         raise ValueError(f"pair rate {top!r} squared is out of the float range")
 
 
+def _row_sums_of_squares(g: np.ndarray) -> np.ndarray:
+    """Each clock's sum_j g_ij^2; refuses a square or a sum past the float range."""
+    _refuse_overflowing_squares(g)
+    with np.errstate(over="ignore"):  # refused below
+        s2 = (g ** 2).sum(axis=1)
+    if (bad := np.isinf(s2)).any():
+        raise ValueError(f"clock {int(np.argmax(bad))}'s sum of squared pair rates "
+                         "is out of the float range")
+    return s2
+
+
 def dephasing_given_rates(g: PairRateMatrix, rates: MeasurementRates) -> DephasingReport:
     """Per-clock dephasing for explicitly chosen measurement rates."""
     n = len(g)
@@ -233,9 +244,7 @@ def min_dephasing_global_A(g: PairRateMatrix) -> DephasingReport:
     environment (true on the lattices the closed form was derived for); the
     summed rate equals the optimizer's objective for any geometry.
     """
-    mat = g.g
-    _refuse_overflowing_squares(mat)
-    s = np.sqrt((mat ** 2).sum(axis=1))
+    s = np.sqrt(_row_sums_of_squares(g.g))
     per_clock = 0.5 * s
     optimal = MeasurementRates("global", global_gamma=s / 2.0) if np.all(s > 0) else None
     return DephasingReport(per_clock, "global", "A-free",
@@ -258,11 +267,10 @@ def min_dephasing_pairwise_B(g: PairRateMatrix) -> DephasingReport:
     n = len(g)
     if n < 2:
         raise ValueError("the fixed-rate minimum is undefined for a single clock")
-    mat = g.g
-    _refuse_overflowing_squares(mat)
-    s2 = (mat ** 2).sum(axis=1)
+    s2 = _row_sums_of_squares(g.g)
     per_clock = (math.sqrt(n - 1) / 2.0) * np.sqrt(s2)
-    total_sq = float(s2.sum())
+    with np.errstate(over="ignore"):  # MeasurementRates refuses an infinite total
+        total_sq = float(s2.sum())
     optimal = None
     if total_sq > 0:
         gamma_star = math.sqrt(total_sq / (4.0 * n * (n - 1)))
@@ -288,11 +296,10 @@ def min_dephasing_global_B(g: PairRateMatrix) -> DephasingReport:
     n = len(g)
     if n < 2:
         raise ValueError("the fixed-rate minimum is undefined for a single clock")
-    mat = g.g
-    _refuse_overflowing_squares(mat)
-    s2 = (mat ** 2).sum(axis=1)
+    s2 = _row_sums_of_squares(g.g)
     per_clock = 0.5 * np.sqrt(s2)
-    total_sq = float(s2.sum())
+    with np.errstate(over="ignore"):  # MeasurementRates refuses an infinite total
+        total_sq = float(s2.sum())
     optimal = None
     if total_sq > 0:
         gamma_star = math.sqrt(total_sq / (4.0 * n))

@@ -6,6 +6,11 @@ A scenario is a JSON document with a `kind`, optional `convention` and
 reruns of the same config: floats are written with repr, JSON keys are
 sorted, and CSV rows end with CRLF.
 
+A kind's runner computes and returns its artifacts by file-name suffix: CSV
+rows (a list), a JSON payload without its "meta" block (a dict) or finished
+bytes. `run_scenario` alone names, filters by output format, encodes and
+writes them; what differs between kinds is data in `_RUNNERS`.
+
 A checker written here decides, as Draft 2020-12 would, that a config is
 valid; jsonschema is imported only to explain a config the checker refuses,
 so every error message and path is jsonschema's. A runner imports the
@@ -546,13 +551,6 @@ def _json_chunks(payload: dict):
     yield "".join(batch).encode("utf-8")
 
 
-def _meta(convention: FrequencyConvention | None) -> dict:
-    meta = {"package": "ccgclocks", "version": __version__}
-    if convention is not None:
-        meta["convention"] = convention.value
-    return meta
-
-
 def _state_from_config(entries):
     states = []
     for entry in entries:
@@ -572,9 +570,11 @@ def emit_plot_data(entries) -> bytes:
     return _csv_bytes(rows)
 
 
-# -- per-kind runners (return {filename: bytes or an iterable of bytes}) ---------
+# -- per-kind runners: (params, convention) -> {suffix: artifact} ---------------
+# An artifact is CSV rows (a list), a JSON payload without its "meta" block (a
+# dict) or finished bytes; run_scenario names, filters, encodes and writes them.
 
-def _run_rates(params, convention, stem, fmt):
+def _run_rates(params, convention):
     array = _build_geometry(params["geometry"], convention)
     g = pair_rate_matrix(array)
     if params["case"] == "given-rates":
@@ -583,35 +583,22 @@ def _run_rates(params, convention, stem, fmt):
             raise ValueError("gamma block does not match the requested mode")
     else:
         report = _CLOSED_FORMS[(params["mode"], params["case"])](g)
-    out = {}
-    if fmt in ("csv", "both"):
-        out[f"{stem}.csv"] = _csv_bytes(report.csv_rows())
-    if fmt in ("json", "both"):
-        out[f"{stem}.json"] = _json_chunks(
-            {"meta": _meta(convention), "report": report._json_fields()})
-    return out
+    return {".csv": report.csv_rows(), ".json": {"report": report._json_fields()}}
 
 
-def _run_optimize(params, convention, stem, fmt):
+def _run_optimize(params, convention):
     array = _build_geometry(params["geometry"], convention)
     g = pair_rate_matrix(array)
     rates, report = optimize_rates(g, params["mode"])
-    out = {}
-    if fmt in ("csv", "both"):
-        out[f"{stem}.csv"] = _csv_bytes(report.csv_rows())
-    if fmt in ("json", "both"):
-        out[f"{stem}.json"] = _json_chunks({
-            "meta": _meta(convention),
-            "optimal_rates": rates._json_fields(),
-            "achieved": report._json_fields(),
-            "objective": report.objective(),
-        })
-    return out
+    return {".csv": report.csv_rows(),
+            ".json": {"optimal_rates": rates._json_fields(),
+                      "achieved": report._json_fields(),
+                      "objective": report.objective()}}
 
 
 # the runners below import the modules only their kind uses, when they run
 
-def _run_scaling(params, convention, stem, fmt):
+def _run_scaling(params, convention):
     from .continuum import fit_scaling, scaling_rate_sweep
 
     omega = float(apply_convention(params.get("quoted_frequency", 1e15),
@@ -633,25 +620,18 @@ def _run_scaling(params, convention, stem, fmt):
          "fit_model": fit.model, "fit_param": fit.parameter}
         for p in points
     ])
-    out = {}
-    if fmt in ("csv", "both"):
-        out[f"{stem}.csv"] = _csv_bytes(rows)
-        out[f"{stem}_plot.csv"] = plot
-    if fmt in ("json", "both"):
-        out[f"{stem}.json"] = _json_chunks({
-            "meta": _meta(convention),
-            "dimension": dim, "mode": mode, "case": case,
-            "fit": {"model": fit.model, "parameter": fit.parameter,
-                    "residual": fit.residual,
-                    "ranking": [[m, r] for m, r in fit.ranking]},
-            "points": [{"N": p.N, "exact_sum": p.exact_sum,
-                        "continuum_estimate": p.continuum_estimate,
-                        "ratio": p.ratio, "rate": p.rate} for p in points],
-        })
-    return out
+    return {".csv": rows, "_plot.csv": plot, ".json": {
+        "dimension": dim, "mode": mode, "case": case,
+        "fit": {"model": fit.model, "parameter": fit.parameter,
+                "residual": fit.residual,
+                "ranking": [[m, r] for m, r in fit.ranking]},
+        "points": [{"N": p.N, "exact_sum": p.exact_sum,
+                    "continuum_estimate": p.continuum_estimate,
+                    "ratio": p.ratio, "rate": p.rate} for p in points],
+    }}
 
 
-def _run_simulate(params, convention, stem, fmt):
+def _run_simulate(params, convention):
     from .lindblad import (EXPORT_CLOCK_LIMIT, DensityMatrix, coherence_decay_rate,
                            dimensionless_model, evolve_exact, product_state_coherence)
 
@@ -670,7 +650,6 @@ def _run_simulate(params, convention, stem, fmt):
         times = np.linspace(t.get("start", 0.0), t["stop"], t["num"])
     trace = product_state_coherence(model, states, times)
     summary = {
-        "meta": _meta(convention),
         "kind": params["kind"],
         "n_clocks": model.n_clocks,
         "per_clock_dephasing": model.per_clock_dephasing,
@@ -685,21 +664,15 @@ def _run_simulate(params, convention, stem, fmt):
         except ValueError as exc:
             summary["fitted_decay_rate"] = None
             summary["fit_error"] = str(exc)
-    out = {}
-    if fmt in ("csv", "both"):
-        out[f"{stem}.csv"] = _csv_bytes(trace.csv_rows())
-    if fmt in ("json", "both"):
-        out[f"{stem}.json"] = _json_chunks(summary)
+    out = {".csv": trace.csv_rows(), ".json": summary}
     if export:
         final = evolve_exact(DensityMatrix.from_qubit_states(states), model,
                              float(times[-1]))
-        out[f"{stem}_rho.json"] = _json_chunks(
-            {"meta": _meta(convention), "time": float(times[-1]),
-             "rho": final.to_json_dict()})
+        out["_rho.json"] = {"time": float(times[-1]), "rho": final.to_json_dict()}
     return out
 
 
-def _run_redshift(params, convention, stem, fmt):
+def _run_redshift(params, convention):
     from .redshift import (CompositeBody, ExplicitAtoms, composite_dephasing,
                            shell_dephasing, simple_particle_dephasing)
 
@@ -718,30 +691,26 @@ def _run_redshift(params, convention, stem, fmt):
                              ExplicitAtoms(np.array(body["positions"], float)))
         result = composite_dephasing(comp, body["clock_position"], omega, gz,
                                      convention=convention)
-    payload = {"meta": _meta(convention), "dephasing": result._json_fields()}
-    return {f"{stem}.json": _json_chunks(payload)}
+    return {".json": {"dephasing": result._json_fields()}}
 
 
-def _run_paper_report(params, convention, stem, fmt):
+def _run_paper_report(params, convention):
     from .report import paper_report
 
     report = paper_report()
-    out = {}
-    if fmt in ("csv", "both"):
-        out[f"{stem}.csv"] = _csv_bytes(report.csv_rows())
-    if fmt in ("json", "both"):
-        out[f"{stem}.json"] = _json_chunks(
-            {"meta": _meta(None), "report": report.to_json_dict()})
-    return out
+    return {".csv": report.csv_rows(), ".json": {"report": report.to_json_dict()}}
 
 
+# kind -> (runner, default stem, default format, suffixes written in every
+# format, whether "meta" names the convention); any other suffix is written
+# when the format is "both" or its extension
 _RUNNERS = {
-    "rates": (_run_rates, "rates", "both"),
-    "optimize": (_run_optimize, "optimize", "json"),
-    "scaling-sweep": (_run_scaling, "scaling", "both"),
-    "simulate": (_run_simulate, "simulate", "both"),
-    "redshift": (_run_redshift, "redshift", "json"),
-    "paper-report": (_run_paper_report, "paper_report", "both"),
+    "rates": (_run_rates, "rates", "both", (), True),
+    "optimize": (_run_optimize, "optimize", "json", (), True),
+    "scaling-sweep": (_run_scaling, "scaling", "both", (), True),
+    "simulate": (_run_simulate, "simulate", "both", ("_rho.json",), True),
+    "redshift": (_run_redshift, "redshift", "json", (".json",), True),
+    "paper-report": (_run_paper_report, "paper_report", "both", (), False),
 }
 
 _CONVENTION_SUFFIX = {
@@ -760,7 +729,7 @@ def run_scenario(config: dict | str | Path, out_dir: str | Path,
         config = json.loads(Path(config).read_text(encoding="utf-8"))
     validate_scenario(config)
     kind = config["kind"]
-    runner, default_stem, default_fmt = _RUNNERS[kind]
+    runner, default_stem, default_fmt, every_format, names_convention = _RUNNERS[kind]
     out_block = config.get("output", {})
     stem = out_block.get("stem", default_stem)
     fmt = out_block.get("format", default_fmt)
@@ -778,14 +747,21 @@ def run_scenario(config: dict | str | Path, out_dir: str | Path,
     for conv in conventions:
         conv_stem = stem if len(conventions) == 1 \
             else f"{stem}_{_CONVENTION_SUFFIX[conv]}"
-        artifacts = runner(params, conv, conv_stem, fmt)
+        meta = {"package": "ccgclocks", "version": __version__}
+        if names_convention:
+            meta["convention"] = conv.value
+        artifacts = {conv_stem + suffix: data
+                     for suffix, data in runner(params, conv).items()
+                     if fmt == "both" or suffix.endswith("." + fmt) or suffix in every_format}
         opened = []
         try:
             for name in sorted(artifacts):
                 data, path = artifacts[name], out_dir / name
+                chunks = (_json_chunks({"meta": meta, **data}) if isinstance(data, dict)
+                          else [_csv_bytes(data) if isinstance(data, list) else data])
                 with path.open("wb") as f:
                     opened.append(path)
-                    f.writelines([data] if isinstance(data, bytes) else data)
+                    f.writelines(chunks)
         except BaseException:
             # all or nothing for each convention: a JSON artifact is formatted
             # as it is written, so a refusal can come partway through a file

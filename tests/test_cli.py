@@ -499,6 +499,11 @@ NON_FINITE_CONFIGS = {
     **{f"optimize_{mode}_square_overflow": ("optimize", {"kind": "optimize", "parameters": {
         "geometry": TINY_CHAIN, "mode": mode}})
        for mode in ("pairwise", "global", "fixed-scalar", "fixed-scalar-global")},
+    # a 4-clock chain 7.9e-203 m apart, whose squares fit but whose row sums do not
+    **{f"rates_{mode}_{case}_row_sum_overflow": ("rates", {"kind": "rates", "parameters": {
+        "geometry": {"lattice": dict(TINY_CHAIN["lattice"], lattice_constant=7.9e-203)},
+        "mode": mode, "case": case}})
+       for mode, case in (("global", "A-free"), ("pairwise", "B-fixed"), ("global", "B-fixed"))},
     # squares that fit, but a quotient g^2 / (8 Gamma) past the float range
     "rates_given_global_quotient_overflow": ("rates", {"kind": "rates", "parameters": {
         "geometry": {"lattice": dict(TINY_CHAIN["lattice"], lattice_constant=1e-200)},
@@ -550,6 +555,22 @@ def test_fit_on_times_whose_squares_underflow_is_refused_quietly(tmp_path, capfd
     assert "squared is below the smallest normal float" in summary["fit_error"]
     out, err = capfd.readouterr()  # LAPACK writes its complaints to the C stdout
     assert "DLASCL" not in out + err and "Warning" not in err
+
+
+@pytest.mark.parametrize("stop", [1e154, 1e160, 1e300])
+def test_fit_on_times_whose_squares_overflow_is_refused_quietly(tmp_path, capfd, stop):
+    config = {"kind": "simulate", "parameters": {
+        "kind": "unitary", "initial_state": ["plus", "zero"],
+        "times": {"stop": stop, "num": 11}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", str(write_config(tmp_path, config)),
+                     "--out", str(tmp_path / "o")])
+    assert code == 0
+    summary = json.loads((tmp_path / "o" / "simulate.json").read_text())
+    assert summary["fitted_decay_rate"] is None
+    assert "squares summing past the float range" in summary["fit_error"]
+    assert "Warning" not in capfd.readouterr().err
 
 
 class TestPaperReport:

@@ -306,6 +306,23 @@ class TestOverflowingSquares:
         with pytest.raises(ValueError, match=r"pair rate 1e\+200 squared is out of the float"):
             solve(two_clock_matrix(1e200))
 
+    @pytest.mark.parametrize("solve", [
+        min_dephasing_global_A, min_dephasing_pairwise_B, min_dephasing_global_B])
+    def test_row_sum_of_squares_past_the_range_is_refused_naming_the_clock(self, solve):
+        # every square of this chain fits, but not the row sum of clock 1,
+        # which has two nearest neighbours
+        g = pair_rate_matrix(build_lattice(1, 7.9e-203, [4], 1e15))
+        top = float(g.g.max())
+        assert 1e154 < top and top * top < math.inf
+        with pytest.raises(ValueError, match="clock 1's sum of squared pair rates is out of"):
+            solve(g)
+
+    @pytest.mark.parametrize("solve", [min_dephasing_pairwise_B, min_dephasing_global_B])
+    def test_total_of_row_sums_past_the_range_is_refused(self, solve):
+        # each row sum fits, but not their total, which sets the shared rate
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            solve(two_clock_matrix(1.2e154))
+
     @pytest.mark.parametrize("mode", ["pairwise", "global"])
     def test_given_rates_quotient_past_the_range_is_refused(self, mode):
         gamma = ([[0.0, 1e-300], [1e-300, 0.0]] if mode == "pairwise" else [1e-300] * 2)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ccgclocks import scenarios
+from ccgclocks import __version__, scenarios
 from ccgclocks.scenarios import (
     SCENARIO_SCHEMA,
     _PARAMETER_SCHEMAS,
@@ -241,23 +241,25 @@ def test_a_refusal_partway_through_a_file_leaves_no_file_of_its_convention(
     finite = np.linspace(1.0, 2.0, 10**4)
     refused = finite.copy()
     refused[-1] = math.nan
+    # with "both", the direct files are written and the 2pi files refused
+    refused_path = tmp_path / ("rates.json" if convention == "direct" else "rates_2pi.json")
     sizes = []
+    original = scenarios._json_chunks
 
-    def runner(params, conv, stem, fmt):
-        # with "both", the direct files are written and the 2pi files refused
+    def recording(payload):
+        try:
+            yield from original(payload)
+        except ValueError:
+            sizes.append(refused_path.stat().st_size)
+            raise
+
+    def runner(params, conv):
         bad = convention == "direct" or conv.value == "times-two-pi"
-        path = tmp_path / f"{stem}.json"
+        return {".csv": [["N"], [1]], ".json": {"a": finite, "b": refused if bad else finite}}
 
-        def chunks():
-            try:
-                yield from scenarios._json_chunks({"a": finite, "b": refused if bad else finite})
-            except ValueError:
-                sizes.append(path.stat().st_size)
-                raise
-
-        return {f"{stem}.csv": b"N\r\n1\r\n", f"{stem}.json": chunks()}
-
-    monkeypatch.setitem(scenarios._RUNNERS, "rates", (runner, "rates", "both"))
+    monkeypatch.setattr(scenarios, "_json_chunks", recording)
+    monkeypatch.setitem(scenarios._RUNNERS, "rates",
+                        (runner, *scenarios._RUNNERS["rates"][1:]))
     config = {"kind": "rates", "convention": convention,
               "parameters": {"geometry": _CLOCKS, "mode": "pairwise", "case": "A-free"}}
     with pytest.raises(ValueError, match="not JSON compliant"):
@@ -265,6 +267,63 @@ def test_a_refusal_partway_through_a_file_leaves_no_file_of_its_convention(
     assert sizes[0] > 0  # chunks of the file were written before the refusal
     left = sorted(p.name for p in tmp_path.iterdir())
     assert left == ([] if convention == "direct" else ["rates_direct.csv", "rates_direct.json"])
+
+
+# -- files written ----------------------------------------------------------------
+
+_PARAMETERS = {
+    "rates": {"geometry": _CLOCKS, "mode": "pairwise", "case": "A-free"},
+    "optimize": {"geometry": _CLOCKS, "mode": "global"},
+    "scaling-sweep": EVERY_KIND[4]["parameters"],
+    "simulate": EVERY_KIND[5]["parameters"],  # exports the density matrix
+    "redshift": EVERY_KIND[7]["parameters"],
+    "paper-report": {},
+}
+
+# kind -> (stem, suffixes written by default and in formats "csv", "json", "both")
+_FILES = {
+    "rates": ("rates", [".csv", ".json"], [".csv"], [".json"], [".csv", ".json"]),
+    "optimize": ("optimize", [".json"], [".csv"], [".json"], [".csv", ".json"]),
+    "scaling-sweep": ("scaling", [".csv", ".json", "_plot.csv"], [".csv", "_plot.csv"],
+                      [".json"], [".csv", ".json", "_plot.csv"]),
+    "simulate": ("simulate", [".csv", ".json", "_rho.json"], [".csv", "_rho.json"],
+                 [".json", "_rho.json"], [".csv", ".json", "_rho.json"]),
+    "redshift": ("redshift", [".json"], [".json"], [".json"], [".json"]),
+    "paper-report": ("paper_report", [".csv", ".json"], [".csv"], [".json"],
+                     [".csv", ".json"]),
+}
+
+
+def assert_meta(path, convention):
+    meta = json.loads(path.read_text(encoding="utf-8"))["meta"]
+    assert meta == {"package": "ccgclocks", "version": __version__,
+                    **({"convention": convention} if convention else {})}
+
+
+@pytest.mark.parametrize("fmt", [None, "csv", "json", "both"])
+@pytest.mark.parametrize("kind", sorted(_FILES))
+def test_each_kind_writes_its_files_in_each_format(kind, fmt, tmp_path):
+    config = {"kind": kind, "parameters": _PARAMETERS[kind]}
+    if fmt is not None:
+        config["output"] = {"format": fmt}
+    stem, *by_format = _FILES[kind]
+    expected = [stem + suffix for suffix in by_format[[None, "csv", "json", "both"].index(fmt)]]
+    paths = run_scenario(config, tmp_path)
+    assert [p.name for p in paths] == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for path in paths:
+        if path.suffix == ".json":  # the report's rows carry both conventions
+            assert_meta(path, None if kind == "paper-report" else "direct")
+
+
+def test_both_conventions_write_each_file_twice_convention_by_convention(tmp_path):
+    config = {"kind": "simulate", "convention": "both", "output": {"format": "csv"},
+              "parameters": _PARAMETERS["simulate"]}
+    paths = run_scenario(config, tmp_path)
+    assert [p.name for p in paths] == ["simulate_direct.csv", "simulate_direct_rho.json",
+                                       "simulate_2pi.csv", "simulate_2pi_rho.json"]
+    assert_meta(paths[1], "direct")
+    assert_meta(paths[3], "times-two-pi")
 
 
 # -- validation ------------------------------------------------------------------
