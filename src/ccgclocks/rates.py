@@ -29,7 +29,7 @@ import numpy as np
 from .constants import DEFAULT_CONVENTION, FrequencyConvention
 from .geometry import PairRateMatrix
 
-OBJECTIVE_TOLERANCE = 1e-10
+STEP_TOLERANCE = 1e-8
 ITERATION_CAP = 200
 
 
@@ -169,23 +169,21 @@ class OptimizeError(RuntimeError):
 
 # -- dephasing under given rates -------------------------------------------
 
-# Each quotient is written into a C-ordered buffer: numpy would lay it out in the
-# order of a strided gamma (the optimizer's probes), and rows would sum in another.
+# Each kernel writes its feedback cells into a C-ordered buffer: numpy would lay
+# a quotient out in the order of a transposed or Fortran-ordered operand, and
+# the rows of D would sum in another order.
 
-def _pairwise_per_clock(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Per-clock pairwise dephasing; gamma may carry leading batch axes. Its
-    diagonal is zero: the identity added to its transpose makes that term 0/8."""
-    terms = np.divide(g * g, 8.0 * (np.swapaxes(gamma, -1, -2) + np.eye(len(g))),
-                      out=np.empty(gamma.shape))
-    terms += gamma / 2.0
-    return terms.sum(axis=-1)
+def _pairwise_cells(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Pairwise feedback cells g_ij^2 / (8 Gamma_ji), clock i's term from the
+    measurement whose record drives it. Gamma's diagonal is zero: the identity
+    added to its transpose makes each clock's own cell 0/8."""
+    return np.divide(g * g, 8.0 * (gamma.T + np.eye(len(g))), out=np.empty(g.shape))
 
 
-def _global_per_clock(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Per-clock global dephasing; gamma may carry leading batch axes. The zero
-    diagonal of g makes each clock's own feedback term 0."""
-    feed = np.divide(g * g, 8.0 * gamma[..., None, :], out=np.empty(gamma.shape + g.shape[:1]))
-    return gamma / 2.0 + feed.sum(axis=-1)
+def _global_cells(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Global feedback cells g_ij^2 / (8 Gamma_j). The zero diagonal of g makes
+    each clock's own cell 0."""
+    return np.divide(g * g, 8.0 * gamma, out=np.empty(g.shape))
 
 
 def _refuse_overflowing_squares(g: np.ndarray) -> None:
@@ -212,8 +210,13 @@ def dephasing_given_rates(g: PairRateMatrix, rates: MeasurementRates) -> Dephasi
         raise ValueError(f"rates are for {len(rates)} clocks but the matrix has {n}")
     _refuse_overflowing_squares(g.g)
     with np.errstate(over="ignore"):  # DephasingReport refuses a quotient past the range
-        per_clock = (_pairwise_per_clock(g.g, rates.pairwise_gamma) if rates.mode == "pairwise"
-                     else _global_per_clock(g.g, rates.global_gamma))
+        if rates.mode == "pairwise":
+            terms = _pairwise_cells(g.g, rates.pairwise_gamma)
+            terms += rates.pairwise_gamma / 2.0
+            per_clock = terms.sum(axis=1)
+        else:
+            per_clock = (rates.global_gamma / 2.0
+                         + _global_cells(g.g, rates.global_gamma).sum(axis=1))
     return DephasingReport(per_clock, rates.mode, "given-rates",
                            convention=g.convention, formula_id=f"{rates.mode}-sum")
 
@@ -328,42 +331,34 @@ _MODES = {
     "fixed-scalar": ("pairwise", True, "B-fixed"),
     "fixed-scalar-global": ("global", True, "B-fixed"),
 }
-# the probe points of one Newton iteration are evaluated in blocks of at most
-# this many rate-array floats, so memory stays bounded for any N
-_BLOCK_FLOATS = 2**21
 
 
-def _newton(summed, x0: np.ndarray, block: int):
-    """Diagonal Newton descent on the summed dephasing of log-rates x.
+def _newton(shares, x0: np.ndarray):
+    """Separable Newton descent on log-rates x.
 
-    In x every mode's objective is a sum of one-dimensional terms
-    a e^x + b e^-x with a, b > 0, each strictly convex, so the Hessian is
-    diagonal.
-    `summed` maps points of shape (..., K) to the objective, shape (...).
-    Every iteration takes all K first and second partials from central
-    differences over the points x +- h e_k, evaluated `block` coordinates at
-    a time; they never reuse the closed-form algebra the optimizer checks.
-    The step -d1/d2 (a sign step where d2 <= 0) is clipped to +-5 and halved
-    until the objective does not rise.
+    In x every mode's summed dephasing is a sum of one-dimensional terms
+    a e^x + b e^-x with a, b > 0, one per coordinate, each strictly convex.
+    `shares` maps x to each coordinate's own term, in the shape of x, so
+    every iteration takes all first and second partials at once from central
+    differences over x +- h; they never reuse the closed-form algebra the
+    optimizer checks. The step -d1/d2 (a sign step where d2 <= 0) is clipped
+    to +-5 and halved where the share rose. A step halved to STEP_TOLERANCE
+    or below is dropped: a share summed over many cells has a rounding floor,
+    where the differences propose steps of about that size for ever. The
+    descent stops when no accepted step exceeds STEP_TOLERANCE.
     Returns (x, converged); x is the best point reached even when the
     iteration cap stops the descent.
     """
-    h, k = 1e-5, len(x0)
-    x, f = x0, float(summed(x0))
+    h = 1e-5
+    x, s = x0, shares(x0)
     for _ in range(ITERATION_CAP):
-        fp, fm = np.concatenate([
-            summed(x + np.stack([e, -e]))
-            for e in (h * np.eye(min(block, k - lo), k, lo) for lo in range(0, k, block))],
-            axis=1)
-        d1, d2 = (fp - fm) / (2 * h), (fp - 2 * f + fm) / (h * h)
+        sp, sm = shares(x + h), shares(x - h)
+        d1, d2 = (sp - sm) / (2 * h), (sp - 2 * s + sm) / (h * h)
         step = np.clip(np.divide(-d1, d2, out=-np.sign(d1), where=d2 > 0), -5.0, 5.0)
-        # ends at the latest when x + step rounds to x
-        while (f_new := float(summed(x + step))) > f:
-            step /= 2.0
-        x = x + step
-        converged = abs(f - f_new) <= OBJECTIVE_TOLERANCE * max(abs(f_new), 1e-300)
-        f = f_new
-        if converged:
+        while (rose := (s_new := shares(x + step)) > s).any():
+            step[rose] = np.where(np.abs(step[rose]) > 2 * STEP_TOLERANCE, step[rose] / 2.0, 0.0)
+        x, s = x + step, s_new
+        if np.all(np.abs(step) <= STEP_TOLERANCE):
             return x, True
     return x, False
 
@@ -387,23 +382,22 @@ def optimize_rates(g: PairRateMatrix, mode: str) -> tuple[MeasurementRates, Deph
     if not np.all(mat[off] > 0):
         raise ValueError("optimization requires strictly positive pair rates")
     _refuse_overflowing_squares(mat)
-    slots = n * (n - 1) if channel == "pairwise" else n
-    pick = np.zeros(slots, dtype=int) if shared else np.arange(slots)
-    kernel = _pairwise_per_clock if channel == "pairwise" else _global_per_clock
+    # the rates are exp(x) * support: the pairwise support's zero diagonal keeps
+    # each clock's own rate at 0, and a shared log-rate broadcasts
+    support = off.astype(float) if channel == "pairwise" else np.ones(n)
 
-    def expand(x):
-        """Log-rates (..., K) -> rate array (..., n, n) or (..., n)."""
-        r = np.exp(x)[..., pick]
-        if channel == "global":
-            return r
-        gam = np.zeros(x.shape[:-1] + (n, n))
-        gam[..., off] = r
-        return gam
+    def shares(x):
+        """Each free rate's own term of the summed dephasing; the sum where
+        one log-rate is shared."""
+        gam = np.exp(x) * support
+        own = gam / 2.0 + (_pairwise_cells(mat, gam).T if channel == "pairwise"
+                           else _global_cells(mat, gam).sum(axis=0))
+        return own.sum(keepdims=True) if shared else own
 
-    x0 = np.full(1 if shared else slots, np.mean(np.log(mat[off])))
-    x, converged = _newton(lambda x: kernel(mat, expand(x)).sum(axis=-1), x0,
-                           max(1, _BLOCK_FLOATS // (2 * n * n)))
-    rates = MeasurementRates(channel, **{f"{channel}_gamma": expand(x)})
+    x0 = np.full((1,) * support.ndim if shared else support.shape,
+                 np.mean(np.log(mat[off])))
+    x, converged = _newton(shares, x0)
+    rates = MeasurementRates(channel, **{f"{channel}_gamma": np.exp(x) * support})
     achieved = dephasing_given_rates(g, rates)
     report = DephasingReport(achieved.per_clock, channel, case,
                              convention=g.convention, formula_id=f"optimizer-{mode}",

@@ -313,8 +313,12 @@ def _valid(x, schema) -> bool:
     return True
 
 
-def _rule_error(kind: str, params: dict):
+def _rule_error(config: dict):
     """(message, path) of the first rule a schema cannot state, or None."""
+    stem = config.get("output", {}).get("stem", "")
+    if "/" in stem or "\\" in stem:  # a file name inside the output directory
+        return f"output stem {stem!r} holds a path separator", ["output", "stem"]
+    kind, params = config["kind"], config.get("parameters", {})
     if kind == "rates":
         case = params["case"]
         if case == "given-rates" and "gamma" not in params:
@@ -334,7 +338,7 @@ def _accepts(config) -> bool:
         if not _valid(config, SCENARIO_SCHEMA):
             return False
         kind, params = config["kind"], config.get("parameters", {})
-        return _valid(params, _PARAMETER_SCHEMAS[kind]) and _rule_error(kind, params) is None
+        return _valid(params, _PARAMETER_SCHEMAS[kind]) and _rule_error(config) is None
     except _Unsure:
         return False
 
@@ -393,7 +397,7 @@ def validate_scenario(config: dict) -> None:
         error = min(errors, key=str) if len(errors) > 1 else errors[0]
         error.path.appendleft("parameters")
         raise error
-    rule = _rule_error(kind, params)
+    rule = _rule_error(config)
     if rule is not None:
         raise jsonschema.ValidationError(rule[0], path=rule[1])
 
@@ -412,6 +416,25 @@ def _build_geometry(block: dict, convention: FrequencyConvention) -> ClockArray:
     return ClockArray([factor * c["quoted_frequency"] for c in clocks],
                       [c["position"] for c in clocks],
                       [c.get("rest_mass") for c in clocks], convention=convention)
+
+
+def _integral(schema: dict) -> bool:
+    """Whether a schema admits only integers: "type": "integer" or an enum of ints."""
+    return (schema.get("type") == "integer"
+            or all(type(v) is int for v in schema.get("enum", [None])))
+
+
+def _as_ints(x, schema: dict):
+    """A valid `x` with each float at an integer position of `schema` as an
+    int: Draft 2020-12 takes 3.0 as an integer, numpy's sizes and indices do
+    not. The scenario schemas hold integers only as properties and as items
+    of flat lists."""
+    if type(x) is dict:
+        properties = schema.get("properties", {})
+        return {k: _as_ints(v, properties.get(k, {})) for k, v in x.items()}
+    if type(x) is list and _integral(schema.get("items", {})):
+        return list(map(int, x))
+    return int(x) if isinstance(x, float) and _integral(schema) else x
 
 
 def _build_gamma(block: dict) -> MeasurementRates:
@@ -742,7 +765,7 @@ def run_scenario(config: dict | str | Path, out_dir: str | Path,
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = config.get("parameters", {})
+    params = _as_ints(config.get("parameters", {}), _PARAMETER_SCHEMAS[kind])
     written = []
     for conv in conventions:
         conv_stem = stem if len(conventions) == 1 \

@@ -306,6 +306,14 @@ class TestCliEntryPoint:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("stem", ["../escaped", "sub/x", "..\\escaped"])
+    def test_stem_with_a_path_separator_exit_2_writing_nothing(self, tmp_path, capsys, stem):
+        cfg = write_config(tmp_path, {"kind": "paper-report", "output": {"stem": stem}})
+        assert main(["paper-report", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "invalid config at output/stem" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
     def test_paper_report_without_config(self, tmp_path):
         assert main(["paper-report", "--out", str(tmp_path / "o")]) == 0
         payload = json.loads((tmp_path / "o" / "paper_report.json").read_text())
@@ -539,6 +547,43 @@ def test_pairwise_free_minimum_squares_nothing(tmp_path, capsys):
     assert code == 0 and capsys.readouterr().err == ""
     written = json.loads((tmp_path / "o" / "rates.json").read_text())
     assert written["report"]["per_clock_hz"][0] > 1e271
+
+
+_SWEEP_1D = {"kind": "scaling-sweep", "parameters": {
+    "dimension": 1, "mode": "pairwise", "case": "A-free", "sides": [3, 9, 31, 301]}}
+_LATTICE_RATES = {"kind": "rates", "parameters": {
+    "geometry": {"lattice": {"dimension": 2, "lattice_constant": 1e-6, "counts": [3, 2],
+                             "quoted_frequency": 1e15}},
+    "mode": "global", "case": "A-free"}}
+# subcommand, a config, and the path in its parameters of an integer that
+# Draft 2020-12 also takes as an integral float
+INTEGER_POSITIONS = {
+    "simulate_times_num": ("simulate", SIMULATE_CONFIG, ["times", "num"]),
+    "simulate_fit_clock": ("simulate", {"kind": "simulate", "parameters": dict(
+        SIMULATE_CONFIG["parameters"], fit_clock=1)}, ["fit_clock"]),
+    "scaling_dimension": ("scaling", _SWEEP_1D, ["dimension"]),
+    "scaling_sides": ("scaling", _SWEEP_1D, ["sides", 2]),
+    "rates_lattice_dimension": ("rates", _LATTICE_RATES, ["geometry", "lattice", "dimension"]),
+    "rates_lattice_counts": ("rates", _LATTICE_RATES, ["geometry", "lattice", "counts", 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_POSITIONS))
+def test_integral_float_at_an_integer_position_runs_as_its_integer_twin(tmp_path, name):
+    subcommand, config, path = INTEGER_POSITIONS[name]
+    as_float = json.loads(json.dumps(config))
+    *parents, last = path
+    node = as_float["parameters"]
+    for key in parents:
+        node = node[key]
+    node[last] = float(node[last])
+    outputs = []
+    for tag, cfg in (("int", config), ("float", as_float)):
+        out = tmp_path / tag
+        assert main([subcommand, "--config", str(write_config(tmp_path, cfg, f"{tag}.json")),
+                     "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] and outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("stop", [1e-170, 1e-320])

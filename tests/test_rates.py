@@ -438,23 +438,21 @@ def equivalent_sites(draw):
 
 
 def masked_pairwise_per_clock(g, gamma):
-    """The pairwise kernel as boolean masks formed it: the reference for the
-    dense one."""
+    """The pairwise per-clock rates as boolean masks formed them: the
+    reference for the dense kernel."""
     off = ~np.eye(len(g), dtype=bool)
     terms = np.zeros(gamma.shape)
-    terms[..., off] = (gamma[..., off] / 2.0
-                       + g[off] ** 2 / (8.0 * np.swapaxes(gamma, -1, -2)[..., off]))
+    terms[off] = gamma[off] / 2.0 + g[off] ** 2 / (8.0 * gamma.T[off])
     return terms.sum(axis=-1)
 
 
 def masked_global_per_clock(g, gamma):
-    """The global kernel as boolean masks formed it: the reference for the
-    dense one."""
+    """The global per-clock rates as boolean masks formed them: the
+    reference for the dense kernel."""
     n = len(g)
     off = ~np.eye(n, dtype=bool)
-    feed = np.zeros(gamma.shape + (n,))
-    feed[..., off] = g[off] ** 2 / (8.0 * np.broadcast_to(
-        gamma[..., None, :], feed.shape)[..., off])
+    feed = np.zeros((n, n))
+    feed[off] = g[off] ** 2 / (8.0 * np.broadcast_to(gamma, feed.shape)[off])
     return gamma / 2.0 + feed.sum(axis=-1)
 
 
@@ -463,33 +461,30 @@ def bits(a):
 
 
 @settings(max_examples=200, deadline=None)
-@given(g=clouds(max_clocks=14), layout=st.sampled_from(["probes", "transposed"]),
-       seed=st.integers(0, 2**32 - 1))
-def test_kernels_on_strided_batches_match_the_masked_reference_bit_for_bit(g, layout, seed):
-    # A quotient laid out in a strided batch's order sums its rows in another
-    # order than for a contiguous one, and moves last bits.
+@given(g=clouds(max_clocks=14), layout=st.sampled_from(["transposed", "fortran"]),
+       fortran_g=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_kernels_on_strided_layouts_match_the_masked_reference_bit_for_bit(
+        g, layout, fortran_g, seed):
+    # A quotient laid out in a strided operand's order sums its rows in another
+    # order than for a C-ordered one, and moves last bits.
     mat, n = g.g, len(g)
     rng = np.random.default_rng(seed)
     x = np.log(mat[mat > 0]).mean() + rng.normal(0.0, 2.0, n)
-    pairwise = np.exp(x[:, None] + rng.normal(0.0, 2.0, (n, n, 3)))
+    pairwise = np.exp(x[:, None] + rng.normal(0.0, 2.0, (n, n)))
     pairwise[np.arange(n), np.arange(n)] = 0.0
-    if layout == "probes":
-        # as _newton probes x +- h e_k and optimize_rates picks their rates
-        e = 1e-5 * np.eye(n)
-        global_batch = np.exp(x + np.stack([e, -e]))[..., np.arange(n)]
-        pairwise_batch = np.moveaxis(pairwise, -1, 0)  # batch axis last in memory
-    else:
-        global_batch = np.exp(x + rng.normal(0.0, 2.0, (3, n))).T.copy().T
-        pairwise_batch = np.swapaxes(np.moveaxis(pairwise, -1, 0).copy(), -1, -2)
-    for kernel, reference, batch, ndim in (
-            (rates_module._global_per_clock, masked_global_per_clock, global_batch, 1),
-            (rates_module._pairwise_per_clock, masked_pairwise_per_clock, pairwise_batch, 2)):
-        assert not batch.flags.c_contiguous
-        got = kernel(mat, batch)
-        assert np.array_equal(bits(got), bits(reference(mat, batch)))
-        each = [kernel(mat, np.ascontiguousarray(batch[i]))
-                for i in np.ndindex(batch.shape[:-ndim])]
-        assert np.array_equal(bits(got).reshape(-1, n), bits(each))
+    pairwise = pairwise.T if layout == "transposed" else np.asfortranarray(pairwise)
+    strided = PairRateMatrix(np.asfortranarray(mat)) if fortran_g else g
+    assert strided.g.flags.f_contiguous == fortran_g
+    for rates, reference in (
+            (MeasurementRates("global", global_gamma=np.exp(x)), masked_global_per_clock),
+            (MeasurementRates("pairwise", pairwise_gamma=pairwise), masked_pairwise_per_clock)):
+        gamma = getattr(rates, f"{rates.mode}_gamma")
+        assert rates.mode == "global" or not gamma.flags.c_contiguous
+        got = dephasing_given_rates(strided, rates).per_clock
+        assert np.array_equal(bits(got), bits(reference(mat, gamma)))
+        contiguous = MeasurementRates(rates.mode, **{
+            f"{rates.mode}_gamma": np.ascontiguousarray(gamma)})
+        assert np.array_equal(bits(got), bits(dephasing_given_rates(g, contiguous).per_clock))
 
 
 class TestOptimizerProperties:
@@ -519,10 +514,14 @@ class TestOptimizerProperties:
             best = dephasing_given_rates(g, closed.optimal_rates).objective()
         else:
             best = closed.objective()
-        _, rep = optimize_rates(g, mode)
+        rates, rep = optimize_rates(g, mode)
         n = len(g)
         assert rep.objective() >= best * (1 - 4e-16 * n ** 2)
         assert rep.objective() == approx(best, rel=1e-10)
+        if closed.case == "A-free":
+            field = f"{rates.mode}_gamma"
+            assert getattr(rates, field) == approx(getattr(closed.optimal_rates, field),
+                                                   rel=1e-7)
 
     @settings(max_examples=100, deadline=None)
     @given(mode=st.sampled_from(sorted(_CLOSED_FORMS)), g=clouds(), data=st.data())
@@ -533,10 +532,9 @@ class TestOptimizerProperties:
             PairRateMatrix.from_matrix(g.g[np.ix_(perm, perm)]), mode)
         if rates.mode == "pairwise":
             want = rates.pairwise_gamma[np.ix_(perm, perm)]
-            assert rates_p.pairwise_gamma == pytest.approx(want, rel=1e-6)
+            assert rates_p.pairwise_gamma == approx(want, rel=1e-6)
         else:
-            assert rates_p.global_gamma == pytest.approx(
-                rates.global_gamma[perm], rel=1e-6)
+            assert rates_p.global_gamma == approx(rates.global_gamma[perm], rel=1e-6)
 
 
 @st.composite
