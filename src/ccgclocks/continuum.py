@@ -9,10 +9,21 @@ with S_D = 1, 2*pi, 4*pi for linear, planar and spherical geometry. In 1D the
 center clock sees two half-lines, each integrated to R/2. The integral only
 tracks the sum up to an order-one factor, which compare_sum_vs_integral
 quantifies; scaling exponents in N are what it predicts reliably.
+
+Every exact sum goes through one accumulator, _exact_totals (Neal's small
+superaccumulator, arXiv:1505.05571). np.frexp splits each term into an
+exponent e and a 53-bit integer mantissa, and the mantissa into halves below
+2**27; float64 np.bincount adds the halves per (group, e) without rounding,
+since a chunk of fewer than 2**26 terms keeps every partial sum an integer
+below 2**53. The bins join one Python int per group, and int true division
+rounds that exact total once, to nearest with ties to even: bit for bit what
+math.fsum returns. A scaling sweep feeds it one slab-wise pass over the
+orthant of its largest grid, which gives every side's centre sum at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,16 +43,52 @@ DEFAULT_SIDES = {
 }
 
 
-def _exact_sum(terms: np.ndarray, what: str) -> float:
-    """math.fsum (Shewchuk's exact summation, rounded once) of `terms`;
-    raises ValueError naming `what` when the sum is not finite."""
+# -- exact summation (the accumulator of the module docstring) -----------------
+
+# 16 000 float64 are 125 KiB: below glibc's 128 KiB mmap threshold, so a chunk's
+# buffers come from the heap instead of fresh pages mapped on every call
+_SLAB_SITES = 16_000
+_ULP_SHIFT = 1073  # frexp exponents are >= -1073: totals are ints in units of 2**-1126
+_UNIT = 1 << (_ULP_SHIFT + 53)
+
+
+def _exact_totals(terms: np.ndarray, what: str, owner=None, groups: int = 1) -> list[int]:
+    """Exact sums of `terms` per group (`owner[k]` is term k's group, all in
+    group 0 without `owner`), as ints in units of 2**-1126; raises ValueError
+    naming `what` when a term is not finite."""
+    totals = [0] * groups
+    for k in range(0, terms.size, _SLAB_SITES):
+        chunk = terms[k:k + _SLAB_SITES]
+        if not np.isfinite(chunk).all():
+            raise ValueError(f"{what} is not finite")
+        frac, exp = np.frexp(chunk)
+        high = np.trunc(frac * 2.0 ** 27)
+        low = frac * 2.0 ** 53 - high * 2.0 ** 26
+        e0 = int(exp.min())
+        span = int(exp.max()) - e0 + 1
+        key = exp - e0
+        if owner is not None:
+            key = owner[k:k + _SLAB_SITES] * span + key
+        highs = np.bincount(key, high, groups * span).reshape(groups, span).tolist()
+        lows = np.bincount(key, low, groups * span).reshape(groups, span).tolist()
+        for g, (hs, ls) in enumerate(zip(highs, lows)):
+            totals[g] += sum(((int(h) << 26) + int(lo)) << (e0 + _ULP_SHIFT + j)
+                             for j, (h, lo) in enumerate(zip(hs, ls)) if h or lo)
+    return totals
+
+
+def _rounded(total: int, what: str) -> float:
+    """An exact total from _exact_totals, rounded once to the nearest float."""
     try:
-        total = math.fsum(terms.tolist())
+        return total / _UNIT
     except OverflowError:  # finite terms whose exact sum overflows
-        total = math.inf
-    if not math.isfinite(total):
-        raise ValueError(f"{what} is not finite")
-    return total
+        raise ValueError(f"{what} is not finite") from None
+
+
+def _exact_sum(terms: np.ndarray, what: str) -> float:
+    """The exact sum of `terms`, correctly rounded (what math.fsum returns);
+    raises ValueError naming `what` when the sum is not finite."""
+    return _rounded(_exact_totals(terms, what)[0], what)
 
 
 def lattice_sum_exact(array: ClockArray, center_index: int, alpha: float) -> float:
@@ -211,26 +258,47 @@ class SweepPoint:
     rate: float
 
 
-def _center_sum_fast(D: int, side: int, alpha: float, L_c: float) -> float:
-    """Distance sum from the center of an odd-sided grid, without a ClockArray.
+def _center_sums(D: int, sides, alpha: float, L_c: float) -> list[float]:
+    """Distance sums from the centre of odd-sided grids, one per side, in one pass.
 
-    Only the orthant {0..half}^D is summed, a site with m nonzero coordinates
-    weighted by 2^m: its mirror images have bit-identical squared distances,
-    the weight multiplies exactly and fsum rounds the exact total once, so
-    the result equals fsum over the full grid.
+    Only the orthant {0..half}^D of the largest grid is built, a slab of
+    leading indices at a time, a site with m nonzero coordinates weighted by
+    2^m: its mirror images have bit-identical squared distances and the weight
+    multiplies exactly. Each term goes to the smallest side whose half-width
+    reaches the site's Chebyshev radius, and each side's exact total is rounded
+    once, so every sum equals fsum over that side's full grid.
     """
-    half = (side - 1) // 2
-    mirrors = np.r_[1.0, np.full(half, 2.0)]
+    halves = np.array(sorted({(s - 1) // 2 for s in sides}))
+    if not halves.size:
+        return []
+    n = int(halves[-1]) + 1
+    what = f"distance sum at L_c={L_c!r}"
+
+    def axis(lo, hi):
+        # squared distances, mirror weights and the smallest side reaching each
+        # index; a site's side is the largest of its coordinates' sides
+        i = np.arange(lo, hi)
+        return (i * float(L_c)) ** 2, np.where(i > 0, 2.0, 1.0), np.searchsorted(halves, i)
+
+    totals = [0] * len(halves)
     with np.errstate(over="ignore"):  # raised as ValueError below
-        sq = (np.arange(half + 1, dtype=float) * L_c) ** 2
-        d2, weight = sq, mirrors
-        for _ in range(D - 1):
-            d2, weight = np.add.outer(d2, sq), np.multiply.outer(weight, mirrors)
-        d2, weight = d2.ravel()[1:], weight.ravel()[1:]  # drop the origin
-        if not np.all((d2 > 0) & (d2 < np.inf)):
-            raise ValueError(f"squared site distances underflow or overflow at L_c={L_c!r}")
-        terms = weight * d2 ** (-alpha / 2.0)
-    return _exact_sum(terms, f"distance sum at L_c={L_c!r}")
+        sq, mirrors, sides_of = axis(0, n if D > 1 else 0)
+        rows = max(1, _SLAB_SITES // n ** (D - 1))
+        for start in range(0, n, rows):
+            d2, weight, owner = axis(start, min(start + rows, n))
+            for _ in range(D - 1):
+                d2, weight = np.add.outer(d2, sq), np.multiply.outer(weight, mirrors)
+                owner = np.maximum.outer(owner, sides_of)
+            first = 1 if start == 0 else 0  # drop the origin
+            d2, weight, owner = (a.ravel()[first:] for a in (d2, weight, owner))
+            if not np.all((d2 > 0) & (d2 < np.inf)):
+                raise ValueError(
+                    f"squared site distances underflow or overflow at L_c={L_c!r}")
+            terms = weight * d2 ** (-alpha / 2.0)
+            for g, t in enumerate(_exact_totals(terms, what, owner, len(halves))):
+                totals[g] += t
+    by_half = dict(zip(halves.tolist(), (_rounded(t, what) for t in itertools.accumulate(totals))))
+    return [by_half[(s - 1) // 2] for s in sides]
 
 
 # (mode, case) -> (alpha, the center clock's minimum rate over the dephasing
@@ -262,9 +330,8 @@ def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,
     prefactor = dephasing_prefactor(omega)
 
     points = []
-    for side in sides:
+    for side, s in zip(sides, _center_sums(D, sides, alpha, L_c)):
         n = side ** D
-        s = _center_sum_fast(D, side, alpha, L_c)
         est = continuum_sum(n, D, L_c, alpha).value
         points.append(SweepPoint(N=n, exact_sum=s, continuum_estimate=est,
                                  ratio=s / est, rate=prefactor * center_rate(s, n)))

@@ -562,8 +562,13 @@ def coherence_decay_rate(trace: CoherenceTrace, clock: int = 0,
 
     Raises if the trace is not exponential to within the threshold (relative
     RMS residual of the straight-line fit in log space), e.g. for the
-    oscillatory coherence of purely unitary evolution.
+    oscillatory coherence of purely unitary evolution, and if a nonzero fitted
+    log change over the trace is within a few ulp of the logs: on a trace that
+    short the slope is rounding noise.
     """
+    n = trace.magnitudes.shape[1]
+    if not 0 <= clock < n:
+        raise ValueError(f"fit clock {clock} out of range for {n} clocks")
     if len(trace.times) < 10:
         raise ValueError("need at least 10 samples to fit a decay rate")
     y = trace.magnitudes[:, clock]
@@ -586,6 +591,10 @@ def coherence_decay_rate(trace: CoherenceTrace, clock: int = 0,
             f"trace is not exponential (log-residual {resid:.3e} exceeds "
             f"{residual_threshold:.1e})")
     rate = -float(slope)
+    change = abs(rate * (times[-1] - times[0]))  # the fitted log change over the trace
+    if abs(rate) > 1e-12 and change <= (noise := 8 * np.spacing(np.max(np.abs(logy)))):
+        raise ValueError(f"the fitted log change {change:.1e} is within rounding noise "
+                         f"({noise:.1e}) of the logs: too short to fit")
     if rate < 0:
         if rate > -1e-12:
             rate = 0.0

@@ -602,6 +602,26 @@ def test_fit_on_times_whose_squares_underflow_is_refused_quietly(tmp_path, capfd
     assert "DLASCL" not in out + err and "Warning" not in err
 
 
+@pytest.mark.parametrize("parameters, error", [
+    ({"fit_clock": 5, "times": {"stop": 3.0, "num": 11}}, "fit clock 5 out of range"),
+    ({"times": {"stop": 1e-100, "num": 11}}, "within rounding noise"),
+    ({"times": {"stop": 1e-153, "num": 11}}, "within rounding noise"),
+])
+def test_fits_the_trace_cannot_support_are_refused_quietly(tmp_path, capfd, parameters, error):
+    # fit_clock 5 ended in an IndexError traceback (exit 1); the short traces
+    # recorded 5.26e84 and 3.0e137 for the model rate 2.0
+    config = dict(SIMULATE_CONFIG, parameters=dict(SIMULATE_CONFIG["parameters"], **parameters))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", str(write_config(tmp_path, config)),
+                     "--out", str(tmp_path / "o")])
+    assert code == 0
+    summary = json.loads((tmp_path / "o" / "simulate.json").read_text())
+    assert summary["fitted_decay_rate"] is None
+    assert error in summary["fit_error"]
+    assert "Warning" not in capfd.readouterr().err
+
+
 @pytest.mark.parametrize("stop", [1e154, 1e160, 1e300])
 def test_fit_on_times_whose_squares_overflow_is_refused_quietly(tmp_path, capfd, stop):
     config = {"kind": "simulate", "parameters": {

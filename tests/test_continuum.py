@@ -11,7 +11,8 @@ from ccgclocks.cli import EXIT_COMPUTATION, main
 from ccgclocks.continuum import (
     DEFAULT_SIDES,
     ContinuumEstimate,
-    _center_sum_fast,
+    _SLAB_SITES,
+    _center_sums,
     _exact_sum,
     compare_sum_vs_integral,
     continuum_sum,
@@ -33,20 +34,63 @@ W15 = 1e15
 
 
 class TestExactSum:
+    """The accumulator against math.fsum, the reference for a correctly rounded
+    sum: every result must be the same float, not merely a close one."""
+
     def test_matches_fsum_on_adversarial_data(self):
         rng = np.random.default_rng(7)
         values = np.concatenate([rng.uniform(1e-9, 1, 5000),
                                  rng.uniform(1e8, 1e9, 5),
                                  rng.uniform(1e-18, 1e-16, 5000)])
-        assert _exact_sum(values, "sum") == approx(math.fsum(values.tolist()),
-                                                   rel=1e-15)
+        assert _exact_sum(values, "sum") == math.fsum(values.tolist())
 
     def test_order_independent(self):
         rng = np.random.default_rng(1)
         values = 10.0 ** rng.uniform(-10, 10, 2000)
         total = _exact_sum(values, "sum")
         rng.shuffle(values)
-        assert _exact_sum(values, "sum") == approx(total, rel=1e-14)
+        assert _exact_sum(values, "sum") == total == math.fsum(values.tolist())
+
+    @pytest.mark.parametrize("terms, expected", [
+        ([1.0, 2.0 ** -53], 1.0),                                  # tie, even below
+        ([1.0 + 2.0 ** -52, 2.0 ** -53], 1.0 + 2.0 ** -51),        # tie, even above
+        ([1.0, 2.0 ** -53, 2.0 ** -105], 1.0 + 2.0 ** -52),        # just past the tie
+    ])
+    def test_ties_round_to_even(self, terms, expected):
+        assert _exact_sum(np.array(terms), "sum") == expected == math.fsum(terms)
+
+    @pytest.mark.parametrize("terms", [
+        [5e-324] * 7,
+        [2.2250738585072014e-308, -5e-324, 1.5e-323],
+        [1e-310, 3e-320, 2.5e-308, -1e-311],
+    ])
+    def test_subnormal_terms(self, terms):
+        assert _exact_sum(np.array(terms), "sum") == math.fsum(terms)
+
+    @pytest.mark.parametrize("terms", [
+        [1e16, 1.0, -1e16],
+        [-1.5, 0.25, -2.0 ** -60],
+        [3.0, -3.0, 1e-300, -1e300, 1e300],
+    ])
+    def test_signed_terms(self, terms):
+        assert _exact_sum(np.array(terms), "sum") == math.fsum(terms)
+
+    def test_overflow_boundary(self):
+        # the exact total 1.79e308 is below the largest float; 2e308 is not
+        assert _exact_sum(np.array([1e308, 7.9e307]), "sum") == math.fsum([1e308, 7.9e307])
+        with pytest.raises(ValueError, match="sum X is not finite"):
+            _exact_sum(np.array([1e308, 1e308]), "sum X")
+
+    def test_terms_past_one_chunk(self):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(3 * _SLAB_SITES + 7) * 10.0 ** rng.integers(
+            -200, 200, 3 * _SLAB_SITES + 7)
+        assert _exact_sum(values, "sum") == math.fsum(values.tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300, allow_subnormal=True), max_size=60))
+    def test_equals_fsum(self, terms):
+        assert _exact_sum(np.array(terms, dtype=float), "sum") == math.fsum(terms)
 
 
 class TestLatticeSumExact:
@@ -112,7 +156,7 @@ class TestLatticeSumExact:
         # the sum of the true centre, clock 12, not clock 0's 9.05e170
         arr = build_lattice(2, 1e-170, [5, 5], W15)
         assert lattice_sum_exact(arr, arr.center_index(), 1.0) == approx(
-            1e170 * _center_sum_fast(2, 5, 1.0, 1.0), rel=1e-15)
+            1e170 * _center_sums(2, [5], 1.0, 1.0)[0], rel=1e-15)
 
 
 def full_grid_fsum(D, side, alpha, L_c):
@@ -128,33 +172,39 @@ def full_grid_fsum(D, side, alpha, L_c):
 
 @pytest.mark.parametrize("terms", [[1.0, math.inf], [math.nan, 1.0], [1e308, 1e308]])
 def test_exact_sum_rejects_non_finite_totals(terms):
-    # the last case overflows inside fsum, which raises OverflowError
+    # the last case is finite terms whose exact total overflows
     with pytest.raises(ValueError, match="sum X is not finite"):
         _exact_sum(np.array(terms), "sum X")
 
 
 class TestCenterSumFast:
+    """_center_sums, every side of a sweep in one pass, side by side against
+    fsum over each side's full grid; sides come unsorted and repeated."""
+
     @pytest.mark.parametrize("L_c", [1.0, 8e-7, 3.3e-10, 7.77e3])
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     @pytest.mark.parametrize("D", [1, 2, 3])
     def test_orthant_fold_equals_full_grid_fsum(self, D, alpha, L_c):
-        for side in DEFAULT_SIDES[D]:
-            assert _center_sum_fast(D, side, alpha, L_c) == \
-                full_grid_fsum(D, side, alpha, L_c), side
+        sides = [*DEFAULT_SIDES[D][1::2], *DEFAULT_SIDES[D][::2][::-1], DEFAULT_SIDES[D][1]]
+        assert sorted(set(sides)) == sorted(DEFAULT_SIDES[D])
+        assert _center_sums(D, sides, alpha, L_c) == \
+            [full_grid_fsum(D, side, alpha, L_c) for side in sides]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from([1, 2, 3]), st.integers(1, 40), st.sampled_from([1.0, 2.0]),
-           st.floats(1e-100, 1e100))
-    def test_orthant_fold_property(self, D, half, alpha, L_c):
-        side = 2 * half + 1
-        assert _center_sum_fast(D, side, alpha, L_c) == full_grid_fsum(D, side, alpha, L_c)
+    @given(st.sampled_from([1, 2, 3]), st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           st.sampled_from([1.0, 2.0]), st.floats(1e-100, 1e100))
+    def test_orthant_fold_property(self, D, halves, alpha, L_c):
+        sides = [2 * half + 1 for half in halves]
+        assert _center_sums(D, sides, alpha, L_c) == \
+            [full_grid_fsum(D, side, alpha, L_c) for side in sides]
 
     @pytest.mark.parametrize("alpha, L_c", [(1.0, 1e-170), (2.0, 1e-170),
                                             (1.0, 1e160), (2.0, 1e-160), (1.0, 0.0)])
     def test_unrepresentable_sum_names_lattice_constant(self, alpha, L_c):
         # underflowed sites were dropped (sum 0.0), overflow gave 0.0 or nan
-        with pytest.raises(ValueError, match=re.escape(f"L_c={L_c!r}")):
-            _center_sum_fast(2, 5, alpha, L_c)
+        for sides in ([5], [5, 3, 5]):
+            with pytest.raises(ValueError, match=re.escape(f"L_c={L_c!r}")):
+                _center_sums(2, sides, alpha, L_c)
 
     def test_scaling_cli_exits_with_computation_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -588,6 +588,25 @@ class TestCoherence:
         trace = simulate_coherence(model, ["plus", "plus"], np.linspace(0, 2, 15))
         assert float(coherence_decay_rate(trace, clock=0)) == approx(0.0, rel=0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("clock", [-1, 2, 5])
+    def test_decay_rate_refuses_a_clock_outside_the_trace(self, clock):
+        # -1 fitted the last clock, and past the last clock an IndexError escaped
+        trace = simulate_coherence(ccg2(), ["plus", "zero"], np.linspace(0, 3, 11))
+        with pytest.raises(ValueError, match=f"fit clock {clock} out of range for 2 clocks"):
+            coherence_decay_rate(trace, clock=clock)
+
+    @pytest.mark.parametrize("stop", [1e-153, 1e-120, 1e-100, 1e-60, 1e-16])
+    def test_decay_rate_refuses_a_slope_of_rounding_noise(self, stop):
+        # the log coherence moves by a few ulp: 1e-100 gave 5.26e84 for the rate 2
+        trace = simulate_coherence(ccg2(), ["plus", "zero"], np.linspace(0, stop, 11))
+        with pytest.raises(ValueError, match="within rounding noise"):
+            coherence_decay_rate(trace)
+
+    @pytest.mark.parametrize("stop", [1e-13, 1e-12, 3.0])
+    def test_decay_rate_on_short_traces_above_the_noise(self, stop):
+        trace = simulate_coherence(ccg2(), ["plus", "zero"], np.linspace(0, stop, 11))
+        assert float(coherence_decay_rate(trace)) == approx(2.0, rel=2e-3)
+
     def test_decay_rate_needs_ten_samples(self):
         trace = simulate_coherence(ccg2(), ["plus", "zero"], np.linspace(0, 1, 5))
         with pytest.raises(ValueError, match="10 samples"):
