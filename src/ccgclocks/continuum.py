@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import dephasing_prefactor
-from .geometry import ClockArray, _distances
+from .geometry import _TINY, ClockArray, _distances
 
 SOLID_ANGLE = {1: 1.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -273,12 +273,20 @@ def _center_sums(D: int, sides, alpha: float, L_c: float) -> list[float]:
         return []
     n = int(halves[-1]) + 1
     what = f"distance sum at L_c={L_c!r}"
+    # squared distances lie in [L_c², the far corner's] as the pass forms them; out
+    # of the normal range, sum the unit grid and multiply each sum by L_c^-alpha
+    spacing, scale, corner = L_c, 1.0, float(halves[-1]) * L_c
+    if not (_TINY <= L_c * L_c and sum([corner * corner] * D) < math.inf):
+        try:
+            spacing, scale = 1.0, L_c ** -alpha
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"{what} is not finite") from None
 
     def axis(lo, hi):
         # squared distances, mirror weights and the smallest side reaching each
         # index; a site's side is the largest of its coordinates' sides
         i = np.arange(lo, hi)
-        return (i * float(L_c)) ** 2, np.where(i > 0, 2.0, 1.0), np.searchsorted(halves, i)
+        return (i * float(spacing)) ** 2, np.where(i > 0, 2.0, 1.0), np.searchsorted(halves, i)
 
     totals = [0] * len(halves)
     with np.errstate(over="ignore"):  # raised as ValueError below
@@ -291,13 +299,13 @@ def _center_sums(D: int, sides, alpha: float, L_c: float) -> list[float]:
                 owner = np.maximum.outer(owner, sides_of)
             first = 1 if start == 0 else 0  # drop the origin
             d2, weight, owner = (a.ravel()[first:] for a in (d2, weight, owner))
-            if not np.all((d2 > 0) & (d2 < np.inf)):
-                raise ValueError(
-                    f"squared site distances underflow or overflow at L_c={L_c!r}")
             terms = weight * d2 ** (-alpha / 2.0)
             for g, t in enumerate(_exact_totals(terms, what, owner, len(halves))):
                 totals[g] += t
-    by_half = dict(zip(halves.tolist(), (_rounded(t, what) for t in itertools.accumulate(totals))))
+    sums = [_rounded(t, what) * scale for t in itertools.accumulate(totals)]
+    if not sums[-1] < math.inf:  # the largest side's sum is the largest
+        raise ValueError(f"{what} is not finite")
+    by_half = dict(zip(halves.tolist(), sums))
     return [by_half[(s - 1) // 2] for s in sides]
 
 

@@ -31,6 +31,25 @@ _PAIR_BLOCK_ROWS = 32
 _TINY = float(np.finfo(float).tiny)
 
 
+def _frozen(value, dtype=float) -> np.ndarray:
+    """A read-only copy of `value`: how every public constructor owns an array."""
+    arr = np.array(value, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def _trusted(cls, **fields):
+    """A `cls` holding package-built `fields` as given, arrays frozen in place
+    and nothing checked again: for results that pass `cls`'s checks by
+    construction."""
+    obj = cls.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class ClockSpec:
     """One two-level clock: angular frequency, position, optional rest mass."""
@@ -78,9 +97,8 @@ class ClockArray:
     def __init__(self, omegas, positions, rest_masses=None,
                  lattice: LatticeInfo | None = None,
                  convention: FrequencyConvention | str = DEFAULT_CONVENTION):
-        # copies: freezing them below leaves the caller's arrays writeable
-        omegas = np.array(omegas, dtype=float).reshape(-1)
-        positions = np.array(positions, dtype=float)
+        omegas = _frozen(omegas).reshape(-1)
+        positions = _frozen(positions)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")
         if len(omegas) != len(positions):
@@ -94,20 +112,17 @@ class ClockArray:
         if rest_masses is not None:
             # one entry per clock, None meaning "no mass": all clocks or none
             given = sum(m is not None for m in rest_masses)
-            masses = np.array(rest_masses, dtype=float).reshape(-1)
+            masses = _frozen(rest_masses).reshape(-1)
             if len(masses) != len(omegas):
                 raise ValueError("rest_masses must match the number of clocks")
             if given not in (0, len(omegas)):
                 raise ValueError("either all clocks carry a rest mass or none do")
             if given and not np.all((masses > 0) & (masses < np.inf)):
                 raise ValueError("rest masses must be finite and positive")
-            masses.setflags(write=False)
             rest_masses = masses if given else None
         i, j = _coincident_pair(positions)
         if i is not None:
             raise ValueError(f"clocks {i} and {j} are coincident")
-        omegas.setflags(write=False)
-        positions.setflags(write=False)
         self._omegas = omegas
         self._positions = positions
         self._rest_masses = rest_masses
@@ -199,14 +214,13 @@ class ClockArray:
 
 @dataclass(frozen=True)
 class PairRateMatrix:
-    """Symmetric N x N matrix of pair interaction rates, zero diagonal. A float
-    array g is frozen in place, not copied, because a copy costs N^2."""
+    """Symmetric N x N matrix of pair interaction rates, zero diagonal."""
 
     g: np.ndarray
     convention: FrequencyConvention = field(default=DEFAULT_CONVENTION)
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
+        g = _frozen(self.g)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"pair rate matrix must be square, got shape {g.shape}")
         if not np.all(np.isfinite(g)):
@@ -220,7 +234,6 @@ class PairRateMatrix:
             raise ValueError("pair rate matrix must be exactly symmetric")
         if np.any(g < 0):
             raise ValueError("pair rates must be non-negative")
-        g.setflags(write=False)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "convention", FrequencyConvention.parse(self.convention))
 
@@ -229,7 +242,7 @@ class PairRateMatrix:
 
     @classmethod
     def from_matrix(cls, g, convention=DEFAULT_CONVENTION) -> "PairRateMatrix":
-        return cls(np.array(g, dtype=float), convention)
+        return cls(g, convention)
 
 
 def _coincident_pair(positions: np.ndarray):
@@ -296,7 +309,9 @@ def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
     G·ħ·ω_iω_j / (c⁴·sqrt(einsum(Δ, Δ))), and each rate is
     G·ħ·(ω_i·ω_j) / (c⁴·`_distances`(p_i, p_j)). A cell whose squared distance
     under- or overflows takes its length from `_distances`, so clocks 1e-170 m
-    or 1e200 m apart get their representable rate.
+    or 1e200 m apart get their representable rate. A rate past the float range
+    is refused here and PairRateMatrix's other checks hold by construction (a
+    difference and its negation square alike), so the result is built trusted.
     """
     n = len(array)
     if n > _PAIR_MATRIX_LIMIT:
@@ -307,7 +322,7 @@ def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
     x, y, z = np.ascontiguousarray(pos.T)  # the coordinate columns
     g = np.empty((n, n))
     buffer = np.empty((min(n, _PAIR_BLOCK_ROWS), n))
-    # an overflowing distance or rate is refused below or by PairRateMatrix
+    # an overflowing distance or rate is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, _PAIR_BLOCK_ROWS):
             stop = min(start + _PAIR_BLOCK_ROWS, n)
@@ -339,7 +354,9 @@ def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
             np.multiply(G_HBAR_OVER_C4, t, out=t)
             np.divide(t, d, out=d)
             d[diagonal] = 0.0
-    return PairRateMatrix(g, convention=array.convention)
+            if not d.max() < np.inf:
+                raise ValueError("pair rates must be finite")
+    return _trusted(PairRateMatrix, g=g, convention=array.convention)
 
 
 def _distances(a, b) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import Rate
-from .geometry import ClockArray, PairRateMatrix, pair_rate_matrix
+from .geometry import ClockArray, PairRateMatrix, _frozen, _trusted, pair_rate_matrix
 from .rates import _CLOSED_FORMS, MeasurementRates, dephasing_given_rates
 
 DENSE_CLOCK_LIMIT = 12       # 2^N density matrices
@@ -107,7 +107,7 @@ class DensityMatrix:
     EIGENVALUE_FLOOR = -1e-10
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex)
+        m = _frozen(matrix, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
         dim = m.shape[0]
@@ -123,18 +123,8 @@ class DensityMatrix:
             raise ValueError(f"trace must be 1, got {m.trace()}")
         if float(np.min(np.linalg.eigvalsh(m))) < self.EIGENVALUE_FLOOR:
             raise ValueError("density matrix is not positive semidefinite")
-        m.setflags(write=False)
         self._m = m
         self.n_clocks = n
-
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray) -> "DensityMatrix":
-        """Wrap a matrix that is a state by construction, without re-checking."""
-        rho = cls.__new__(cls)
-        matrix.setflags(write=False)
-        rho._m = matrix
-        rho.n_clocks = matrix.shape[0].bit_length() - 1
-        return rho
 
     @property
     def matrix(self) -> np.ndarray:
@@ -158,7 +148,7 @@ class DensityMatrix:
             rho = np.kron(rho, f)
         if abs(rho.trace() - 1.0) > cls.TRACE_TOL:
             raise ValueError(f"trace must be 1, got {rho.trace()}")
-        return cls._trusted(rho)
+        return _trusted(cls, _m=rho, n_clocks=len(factors))
 
     @classmethod
     def all_plus(cls, n_clocks: int) -> "DensityMatrix":
@@ -216,11 +206,9 @@ class EvolutionModel:
     def __post_init__(self):
         if self.kind not in ("unitary", "ccg-pairwise", "ccg-global"):
             raise ValueError(f"unknown evolution kind {self.kind!r}")
-        # copies: freezing them below leaves the caller's arrays writeable
-        w = np.array(self.omegas, dtype=float).reshape(-1)
+        w = _frozen(self.omegas).reshape(-1)
         n = len(w)
-        g = np.array(self.coupling, dtype=float)
-        m = np.array(self.dephasing, dtype=float)
+        g, m = _frozen(self.coupling), _frozen(self.dephasing)
         if not all(np.all(np.isfinite(a)) for a in (w, g, m)):
             raise ValueError("omegas, coupling and dephasing must be finite")
         if g.shape != (n, n) or not np.array_equal(g, g.T):
@@ -243,8 +231,6 @@ class EvolutionModel:
             raise ValueError("unitary kind must have zero dephasing")
         if abs(self.interaction_sign) != 1.0:
             raise ValueError("interaction sign must be +1 or -1")
-        for arr in (w, g, m):
-            arr.setflags(write=False)
         object.__setattr__(self, "omegas", w)
         object.__setattr__(self, "coupling", g)
         object.__setattr__(self, "dephasing", m)
@@ -380,7 +366,7 @@ def evolve_exact(rho0: DensityMatrix, model: EvolutionModel, t: float) -> Densit
     np.multiply(out, t, out=out)
     np.exp(out, out=out)
     np.multiply(rho0.matrix, out, out=out)
-    return DensityMatrix._trusted(out)
+    return _trusted(DensityMatrix, _m=out, n_clocks=rho0.n_clocks)
 
 
 @dataclass(frozen=True)
@@ -452,13 +438,13 @@ def evolve_numeric(rho0: DensityMatrix, model: EvolutionModel, t: float,
         estimate = float(np.linalg.norm(result - halved))
     if not np.all(np.isfinite(result)):
         raise ValueError(f"the result is not finite; the step dt={dt} is too large")
-    # the generator's diagonal is exactly 0 and gen[b, a] == conj(gen[a, b]),
-    # so rho0's trace and Hermiticity carry over: positivity is the one check
+    # a zero generator diagonal and gen[b, a] == conj(gen[a, b]) carry rho0's trace
+    # and Hermiticity over: positivity at the public floor is the one check left
     min_eig = float(np.min(np.linalg.eigvalsh(result)))
-    if min_eig < -1e-8:
+    if min_eig < DensityMatrix.EIGENVALUE_FLOOR:
         raise ValueError(
             f"positivity violated by {min_eig:.2e}; the step dt={dt} is too large")
-    return NumericEvolution(rho=DensityMatrix._trusted(result),
+    return NumericEvolution(rho=_trusted(DensityMatrix, _m=result, n_clocks=rho0.n_clocks),
                             convergence_estimate=estimate, n_steps=n_steps)
 
 
@@ -478,15 +464,11 @@ class CoherenceTrace:
     magnitudes: np.ndarray  # shape (T, N)
 
     def __post_init__(self):
-        # copies: freezing them below leaves the caller's arrays writeable
-        t = np.array(self.times, dtype=float).reshape(-1)
-        m = np.array(self.magnitudes, dtype=float)
+        t, m = _frozen(self.times).reshape(-1), _frozen(self.magnitudes)
         if m.ndim != 2 or m.shape[0] != len(t):
             raise ValueError("magnitudes must have shape (len(times), n_clocks)")
         if not np.all((m >= -1e-12) & (m <= 0.5 + 1e-9)):  # NaN fails too
             raise ValueError("coherence magnitudes must lie in [0, 1/2]")
-        t.setflags(write=False)
-        m.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "magnitudes", m)
 

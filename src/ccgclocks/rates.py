@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONVENTION, FrequencyConvention
-from .geometry import PairRateMatrix
+from .geometry import PairRateMatrix, _frozen, _trusted
 
 STEP_TOLERANCE = 1e-8
 ITERATION_CAP = 200
@@ -45,8 +45,7 @@ class MeasurementRates:
     """Free channel parameters: a pairwise matrix or a per-clock vector.
 
     Pairwise entry [i][j] is the rate of the measurement of clock i whose
-    record drives the feedback on clock j; it need not equal [j][i]. A pairwise
-    float array is frozen in place, not copied, because a copy costs N^2.
+    record drives the feedback on clock j; it need not equal [j][i].
     """
 
     mode: str
@@ -59,7 +58,7 @@ class MeasurementRates:
         if self.mode == "pairwise":
             if self.pairwise_gamma is None or self.global_gamma is not None:
                 raise ValueError("pairwise mode needs pairwise_gamma only")
-            gam = np.asarray(self.pairwise_gamma, dtype=float)
+            gam = _frozen(self.pairwise_gamma)
             if gam.ndim != 2 or gam.shape[0] != gam.shape[1]:
                 raise ValueError("pairwise_gamma must be a square matrix")
             n = gam.shape[0]
@@ -75,20 +74,16 @@ class MeasurementRates:
                 raise ValueError(
                     f"pairwise_gamma[{i}][{j}] must be finite and positive "
                     "(zero and infinity are limits, not parameters)")
-            gam.setflags(write=False)
-            object.__setattr__(self, "pairwise_gamma", gam)
         else:
             if self.global_gamma is None or self.pairwise_gamma is not None:
                 raise ValueError("global mode needs global_gamma only")
-            # a copy: freezing it below leaves the caller's array writeable
-            gam = np.array(self.global_gamma, dtype=float).reshape(-1)
+            gam = _frozen(self.global_gamma).reshape(-1)
             bad = ~(np.isfinite(gam) & (gam > 0))
             if bad.any():
                 raise ValueError(
                     f"global_gamma[{int(np.argmax(bad))}] must be finite and positive "
                     "(zero and infinity are limits, not parameters)")
-            gam.setflags(write=False)
-            object.__setattr__(self, "global_gamma", gam)
+        object.__setattr__(self, f"{self.mode}_gamma", gam)
 
     def __len__(self) -> int:
         if self.mode == "pairwise":
@@ -117,11 +112,9 @@ class DephasingReport:
     optimal_rates: MeasurementRates | None = None
 
     def __post_init__(self):
-        # a copy: freezing it below leaves the caller's array writeable
-        rates = np.array(self.per_clock, dtype=float).reshape(-1)
+        rates = _frozen(self.per_clock).reshape(-1)
         if np.any(rates < 0) or not np.all(np.isfinite(rates)):
             raise ValueError("per-clock dephasing rates must be finite and non-negative")
-        rates.setflags(write=False)
         object.__setattr__(self, "per_clock", rates)
         object.__setattr__(self, "convention", FrequencyConvention.parse(self.convention))
 
@@ -233,7 +226,8 @@ def min_dephasing_pairwise_A(g: PairRateMatrix) -> DephasingReport:
         # gam is finite and non-negative with a zero diagonal, so every
         # off-diagonal rate is positive exactly when n(n-1) entries are nonzero
         if np.count_nonzero(gam) == n * (n - 1):
-            optimal = MeasurementRates("pairwise", pairwise_gamma=gam)
+            optimal = _trusted(MeasurementRates, mode="pairwise", pairwise_gamma=gam,
+                               global_gamma=None)
     return DephasingReport(per_clock, "pairwise", "A-free",
                            convention=g.convention,
                            formula_id="pairwise-free-min",
@@ -249,7 +243,9 @@ def min_dephasing_global_A(g: PairRateMatrix) -> DephasingReport:
     """
     s = np.sqrt(_row_sums_of_squares(g.g))
     per_clock = 0.5 * s
-    optimal = MeasurementRates("global", global_gamma=s / 2.0) if np.all(s > 0) else None
+    # s is finite, and a positive square root is at least 1e-162: s/2 > 0
+    optimal = _trusted(MeasurementRates, mode="global", pairwise_gamma=None,
+                       global_gamma=s / 2.0) if np.all(s > 0) else None
     return DephasingReport(per_clock, "global", "A-free",
                            convention=g.convention,
                            formula_id="global-free-min",

@@ -34,7 +34,7 @@ from .constants import (
     Rate,
 )
 from .continuum import _exact_sum
-from .geometry import _distances
+from .geometry import _distances, _frozen
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,11 @@ class ExplicitAtoms:
     positions: np.ndarray
 
     def __post_init__(self):
-        # a copy: freezing it below leaves the caller's array writeable
-        pos = np.array(self.positions, dtype=float)
+        pos = _frozen(self.positions)
         if pos.ndim != 2 or pos.shape[1] != 3 or len(pos) == 0:
             raise ValueError("positions must be a non-empty (N, 3) array")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
 
@@ -106,10 +104,7 @@ class RedshiftDephasing:
                             rel_tol=1e-12, abs_tol=0.0):
             raise ValueError("total must equal measurement + feedback part")
         if self.position_diffusion is not None:
-            # a copy: freezing it below leaves the caller's array writeable
-            arr = np.array(self.position_diffusion, dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, "position_diffusion", arr)
+            object.__setattr__(self, "position_diffusion", _frozen(self.position_diffusion))
         object.__setattr__(self, "convention",
                            FrequencyConvention.parse(self.convention))
 

@@ -439,7 +439,7 @@ def _as_ints(x, schema: dict):
 
 def _build_gamma(block: dict) -> MeasurementRates:
     mode = "pairwise" if "pairwise" in block else "global"
-    return MeasurementRates(mode, **{f"{mode}_gamma": np.array(block[mode], float)})
+    return MeasurementRates(mode, **{f"{mode}_gamma": block[mode]})
 
 
 def _csv_bytes(rows) -> bytes:
@@ -711,7 +711,7 @@ def _run_redshift(params, convention):
                                            convention=convention)
     else:
         comp = CompositeBody(body["atom_mass"], body["lattice_constant"],
-                             ExplicitAtoms(np.array(body["positions"], float)))
+                             ExplicitAtoms(body["positions"]))
         result = composite_dephasing(comp, body["clock_position"], omega, gz,
                                      convention=convention)
     return {".json": {"dephasing": result._json_fields()}}

@@ -519,6 +519,11 @@ NON_FINITE_CONFIGS = {
     "simulate_global_coupling_square_overflow": ("simulate", {"kind": "simulate", "parameters": {
         "kind": "ccg-global", "initial_state": ["plus", "plus"],
         "coupling_matrix": [[0.0, 1e200], [1e200, 0.0]], "times": {"stop": 1.0, "num": 3}}}),
+    # a frequency whose pair rates leave the float range, refused by the pair kernel
+    "rates_pair_rate_overflow": ("rates", {"kind": "rates", "parameters": {
+        "geometry": {"lattice": dict(TINY_CHAIN["lattice"], lattice_constant=1e-6,
+                                     quoted_frequency=1e200)},
+        "mode": "pairwise", "case": "A-free"}}),
 }
 
 

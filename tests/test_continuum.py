@@ -198,13 +198,23 @@ class TestCenterSumFast:
         assert _center_sums(D, sides, alpha, L_c) == \
             [full_grid_fsum(D, side, alpha, L_c) for side in sides]
 
-    @pytest.mark.parametrize("alpha, L_c", [(1.0, 1e-170), (2.0, 1e-170),
-                                            (1.0, 1e160), (2.0, 1e-160), (1.0, 0.0)])
+    @pytest.mark.parametrize("alpha, L_c", [(2.0, 1e-170), (2.0, 1e-160), (1.0, 0.0),
+                                            (1.0, 5e-308)])
     def test_unrepresentable_sum_names_lattice_constant(self, alpha, L_c):
         # underflowed sites were dropped (sum 0.0), overflow gave 0.0 or nan
         for sides in ([5], [5, 3, 5]):
             with pytest.raises(ValueError, match=re.escape(f"L_c={L_c!r}")):
                 _center_sums(2, sides, alpha, L_c)
+
+    @pytest.mark.parametrize("L_c", [1e-170, 1e-160, 1e160])
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_lattice_constant_whose_squares_leave_the_range_is_factored_out(self, D, L_c):
+        # the squared distances under- or overflow but the sum is representable:
+        # it was refused, and at 1e-160 summed from subnormal squares
+        sums = _center_sums(D, [5, 3, 5], 1.0, L_c)
+        for side, got in zip([5, 3, 5], sums):
+            arr = build_lattice(D, L_c, [side] * D, W15)
+            assert got == approx(lattice_sum_exact(arr, arr.center_index(), 1.0), rel=1e-15)
 
     def test_scaling_cli_exits_with_computation_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

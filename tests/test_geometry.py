@@ -196,6 +196,13 @@ class TestPairRateMatrix:
         with pytest.raises(ValueError, match="clocks 0 and 1 is out of the float range"):
             pair_rate_matrix(arr)
 
+    def test_a_rate_out_of_the_float_range_is_refused_by_the_kernel(self):
+        # the product of two frequencies of 1e200 overflows; the kernel builds
+        # its result trusted, so it refuses the rate itself
+        arr = ClockArray([1e200, 1e200], [[0, 0, 0], [1e-6, 0, 0]])
+        with pytest.raises(ValueError, match="^pair rates must be finite$"):
+            pair_rate_matrix(arr)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PairRateMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric

@@ -381,9 +381,14 @@ class TestEvolveExact:
     @given(st.integers(1, 4), st.sampled_from(KINDS),
            st.floats(0.0, 50.0), st.integers(0, 2**31 - 1))
     def test_evolved_state_passes_public_validator(self, n, kind, t, seed):
+        # every state built trusted: a product of kets, and states evolved
         rng = np.random.default_rng(seed)
-        out = evolve_exact(random_density(rng, n), random_model(rng, n, kind), t)
-        DensityMatrix(out.matrix)  # raises if not a state
+        model = random_model(rng, n, kind)
+        product = DensityMatrix.from_qubit_states(
+            rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
+        for out in (product, *(evolve_exact(rho, model, t)
+                               for rho in (random_density(rng, n), product))):
+            DensityMatrix(out.matrix)  # raises if not a state
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_in_place_kernel_matches_reference_bit_for_bit(self, kind):
@@ -448,6 +453,11 @@ class TestEvolveNumeric:
         rho = DensityMatrix.all_plus(2)
         with pytest.raises(ValueError, match="too large"):
             evolve_numeric(rho, model, 5.0, dt=0.5)
+        # a pure state's eigenvalue of -2.8e-9 passed a -1e-8 gate, and the
+        # trusted result then failed DensityMatrix's own check
+        unitary = dimensionless_model(G2, kind="unitary", rates=None, omegas=[0.3, 0.7])
+        with pytest.raises(ValueError, match="positivity violated by -2.78e-09"):
+            evolve_numeric(rho, unitary, 0.5, dt=0.01)
 
     def test_overflowing_step_is_refused_without_a_warning(self):
         # the step polynomial raised to the number of steps overflows
