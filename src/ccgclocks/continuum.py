@@ -303,8 +303,8 @@ def _center_sums(D: int, sides, alpha: float, L_c: float) -> list[float]:
             for g, t in enumerate(_exact_totals(terms, what, owner, len(halves))):
                 totals[g] += t
     sums = [_rounded(t, what) * scale for t in itertools.accumulate(totals)]
-    if not sums[-1] < math.inf:  # the largest side's sum is the largest
-        raise ValueError(f"{what} is not finite")
+    if not (_TINY <= sums[0] and sums[-1] < math.inf):  # the sums ascend with the side
+        raise ValueError(f"{what} leaves the normal float range")
     by_half = dict(zip(halves.tolist(), sums))
     return [by_half[(s - 1) // 2] for s in sides]
 

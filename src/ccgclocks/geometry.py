@@ -240,10 +240,6 @@ class PairRateMatrix:
     def __len__(self) -> int:
         return self.g.shape[0]
 
-    @classmethod
-    def from_matrix(cls, g, convention=DEFAULT_CONVENTION) -> "PairRateMatrix":
-        return cls(g, convention)
-
 
 def _coincident_pair(positions: np.ndarray):
     """Lowest clock index sharing its position, and its lowest partner.

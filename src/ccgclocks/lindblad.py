@@ -328,7 +328,7 @@ def dimensionless_model(coupling, kind: str = "ccg-pairwise", omegas=None,
     rates="optimal" picks the summed-dephasing minimum for the kind; a
     MeasurementRates instance is used as given; None requires kind="unitary".
     """
-    g = PairRateMatrix.from_matrix(coupling)
+    g = PairRateMatrix(coupling)
     return _model(g, kind, np.zeros(len(g)) if omegas is None else omegas, rates, 1.0)
 
 

@@ -199,9 +199,10 @@ class TestCenterSumFast:
             [full_grid_fsum(D, side, alpha, L_c) for side in sides]
 
     @pytest.mark.parametrize("alpha, L_c", [(2.0, 1e-170), (2.0, 1e-160), (1.0, 0.0),
-                                            (1.0, 5e-308)])
+                                            (1.0, 5e-308), (2.0, 1e160), (2.0, 1e200)])
     def test_unrepresentable_sum_names_lattice_constant(self, alpha, L_c):
-        # underflowed sites were dropped (sum 0.0), overflow gave 0.0 or nan
+        # underflowed sites were dropped (sum 0.0), overflow gave 0.0 or nan; a
+        # factored sum below the normal range (subnormal or 0.0) is refused too
         for sides in ([5], [5, 3, 5]):
             with pytest.raises(ValueError, match=re.escape(f"L_c={L_c!r}")):
                 _center_sums(2, sides, alpha, L_c)
@@ -224,6 +225,18 @@ class TestCenterSumFast:
         code = main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_COMPUTATION
         assert "L_c=1e-170" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, case", [("global", "A-free"), ("pairwise", "B-fixed")])
+    def test_scaling_cli_refuses_sum_below_the_float_range(self, tmp_path, capsys, mode, case):
+        # L_c^-2 underflows to 0.0 at 1e200: every sum would read 0.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "scaling-sweep", "parameters": {
+            "dimension": 1, "mode": mode, "case": case,
+            "lattice_constant": 1e200}}), encoding="utf-8")
+        code = main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_COMPUTATION
+        assert "L_c=1e+200" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
 class TestContinuumSum:

@@ -31,13 +31,13 @@ def approx(expected, rel, abs=0.0):
 
 
 def two_clock_matrix(g=1.0):
-    return PairRateMatrix.from_matrix([[0.0, g], [g, 0.0]])
+    return PairRateMatrix([[0.0, g], [g, 0.0]])
 
 
 def equidistant_matrix(n, g=1.0):
     m = np.full((n, n), g)
     np.fill_diagonal(m, 0.0)
-    return PairRateMatrix.from_matrix(m)
+    return PairRateMatrix(m)
 
 
 def random_geometry_matrix(n, seed):
@@ -129,7 +129,7 @@ class TestMeasurementRates:
         assert all(type(x) is float for row in d["pairwise_gamma"] for x in row)
 
     def test_report_serializes_as_plain_lists(self):
-        g = PairRateMatrix.from_matrix([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        g = PairRateMatrix([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         d = min_dephasing_pairwise_B(g).to_json_dict()
         assert type(d["per_clock_hz"]) is list
         assert type(d["optimal_rates"]["pairwise_gamma"]) is list
@@ -167,7 +167,7 @@ class TestDephasingGivenRates:
         assert rep.per_clock == approx([1.0, 1.0], rel=1e-12)
 
     def test_zero_coupling_limit_is_pure_measurement_noise(self):
-        g = PairRateMatrix.from_matrix(np.zeros((2, 2)))
+        g = PairRateMatrix(np.zeros((2, 2)))
         gam = np.array([[0.0, 0.8], [0.8, 0.0]])
         rep = dephasing_given_rates(g, MeasurementRates("pairwise", pairwise_gamma=gam))
         assert rep.per_clock == approx([0.4, 0.4], rel=1e-12)
@@ -281,7 +281,7 @@ class TestClosedForms:
 
     def test_B_rejects_single_clock(self):
         with pytest.raises(ValueError):
-            min_dephasing_pairwise_B(PairRateMatrix.from_matrix([[0.0]]))
+            min_dephasing_pairwise_B(PairRateMatrix([[0.0]]))
 
     def test_fixed_scalar_global_matches_global_A_on_homogeneous(self):
         g = equidistant_matrix(4, g=0.5)
@@ -529,7 +529,7 @@ class TestOptimizerProperties:
         perm = np.array(data.draw(st.permutations(range(len(g)))))
         rates, _ = optimize_rates(g, mode)
         rates_p, _ = optimize_rates(
-            PairRateMatrix.from_matrix(g.g[np.ix_(perm, perm)]), mode)
+            PairRateMatrix(g.g[np.ix_(perm, perm)]), mode)
         if rates.mode == "pairwise":
             want = rates.pairwise_gamma[np.ix_(perm, perm)]
             assert rates_p.pairwise_gamma == approx(want, rel=1e-6)
@@ -607,8 +607,8 @@ class TestInvariants:
         weaker[3, 1] *= 0.5
         for fn in (min_dephasing_pairwise_A, min_dephasing_global_A,
                    min_dephasing_pairwise_B):
-            before = fn(PairRateMatrix.from_matrix(g)).per_clock
-            after = fn(PairRateMatrix.from_matrix(weaker)).per_clock
+            before = fn(PairRateMatrix(g)).per_clock
+            after = fn(PairRateMatrix(weaker)).per_clock
             assert np.all(after <= before * (1 + 1e-12))
 
     def test_permutation_equivariance(self):
@@ -617,8 +617,8 @@ class TestInvariants:
         gp = g[np.ix_(perm, perm)]
         for fn in (min_dephasing_pairwise_A, min_dephasing_global_A,
                    min_dephasing_pairwise_B):
-            rep = fn(PairRateMatrix.from_matrix(g))
-            rep_p = fn(PairRateMatrix.from_matrix(gp))
+            rep = fn(PairRateMatrix(g))
+            rep_p = fn(PairRateMatrix(gp))
             assert rep_p.per_clock == approx(rep.per_clock[perm].tolist(),
                                              rel=1e-12)
             assert rep_p.objective() == approx(rep.objective(), rel=1e-12)
