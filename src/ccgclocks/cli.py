@@ -8,7 +8,7 @@
     ccgclocks paper-report [--config cfg.json] --out outdir
 
 A global --convention {direct,2pi,both} overrides the config. Exit codes:
-0 success, 2 config validation failure, 3 computation failure.
+0 success, 2 config validation failure, 3 computation or write failure.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
 
     try:
         written = run_scenario(config, args.out, convention_override=args.convention)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # OSError: a file not written
         print(f"error: computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
     except _validation_error() as exc:  # evaluated only when a run raises

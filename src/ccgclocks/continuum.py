@@ -92,7 +92,8 @@ def _exact_sum(terms: np.ndarray, what: str) -> float:
 
 
 def lattice_sum_exact(array: ClockArray, center_index: int, alpha: float) -> float:
-    """sum_{j != i} d_ij^(-alpha) for clock i, correctly rounded."""
+    """sum_{j != i} d_ij^(-alpha) for clock i, correctly rounded; a sum below
+    the smallest normal float is refused, as `_center_sums` refuses one."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     n = len(array)
@@ -101,7 +102,11 @@ def lattice_sum_exact(array: ClockArray, center_index: int, alpha: float) -> flo
     pos = array.positions
     with np.errstate(over="ignore"):  # raised as ValueError
         terms = np.delete(_distances(pos, pos[center_index]), center_index) ** (-alpha)
-    return _exact_sum(terms, f"distance sum for clock {center_index}")
+    what = f"distance sum for clock {center_index}"
+    total = _exact_sum(terms, what)
+    if n > 1 and not total >= _TINY:
+        raise ValueError(f"{what} leaves the normal float range")
+    return total
 
 
 @dataclass(frozen=True)
@@ -230,8 +235,9 @@ def fit_scaling(points) -> ScalingFit:
         raise ValueError("need at least 4 points to fit a scaling law")
     N = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
-    if N.min() <= 0 or np.any(y <= 0):
-        raise ValueError("N and rates must be positive")
+    if N.min() <= 0 or not np.all((0 < y) & (y < np.sqrt(np.finfo(float).max))):
+        raise ValueError("N and rates must be positive, and the rates' squares, which "
+                         "three model families fit, in the float range")
     if N.max() / N.min() < 100.0:
         raise ValueError("points must span at least two decades in N")
 

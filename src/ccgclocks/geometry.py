@@ -76,8 +76,8 @@ class LatticeInfo:
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"lattice dimension must be 1, 2 or 3, got {self.dimension}")
-        if not self.lattice_constant > 0:
-            raise ValueError("lattice constant must be positive")
+        if not 0 < self.lattice_constant < np.inf:  # NaN fails too
+            raise ValueError("lattice constant must be finite and positive")
         counts = tuple(int(c) for c in self.counts)
         if len(counts) != self.dimension or any(c < 1 for c in counts):
             raise ValueError(f"need {self.dimension} per-axis counts >= 1, got {self.counts!r}")
@@ -283,14 +283,15 @@ def build_lattice(dimension: int, lattice_constant: float, counts,
 def pair_interaction_rate(clock1: ClockSpec, clock2: ClockSpec) -> Rate:
     """Interaction rate G hbar w1 w2 / (d c^4) for a single clock pair.
 
-    The distance comes from `_distances`, as in `pair_rate_matrix`.
+    Formed as G·ħ/c⁴·(w1·w2) / `_distances`(p1, p2), `pair_rate_matrix`'s
+    order, so it equals that matrix's cell bit for bit.
     """
     d = float(_distances([clock1.position], [clock2.position])[0])
     if d == 0.0:
         raise ValueError("coincident clocks have a singular interaction rate")
     if not d < np.inf:
         raise ValueError("the distance between the clocks is out of the float range")
-    return Rate(G_HBAR_OVER_C4 * float(clock1.omega) * float(clock2.omega) / d)
+    return Rate(G_HBAR_OVER_C4 * (float(clock1.omega) * float(clock2.omega)) / d)
 
 
 def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:

@@ -268,27 +268,17 @@ class EvolutionModel:
             )
 
 
-def _global_dephasing_matrix(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    m = np.diag(gamma / 2.0).astype(float)
-    # an overflow, and inf * 0 after it, leave M non-finite: the model refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(len(gamma)):
-            b = g[:, j]  # zero at j: the coupling diagonal is zero
-            m += np.outer(b, b) / (8.0 * gamma[j])
-    return m
-
-
 def _model(g: PairRateMatrix, kind: str, omegas, rates, time_unit) -> EvolutionModel:
     """The one builder behind `build_model` and `dimensionless_model`.
 
     A ccg kind takes rates of its own channel, "optimal" picking the free
-    closed-form minimum; M follows the channel formulas, the global one with
-    the correlated feedback-noise terms.
+    closed-form minimum. M's diagonal is `dephasing_given_rates`'s per-clock
+    dephasing in either channel; off it, the global channel has the correlated
+    feedback-noise terms sum_j g_ij g_kj / (8 Gamma_j), added in j order.
     """
     n = len(g)
-    if kind == "unitary":
-        m = np.zeros((n, n))
-    else:
+    m = np.zeros((n, n))
+    if kind != "unitary":
         if kind not in ("ccg-pairwise", "ccg-global"):
             raise ValueError(f"unknown evolution kind {kind!r}")
         channel = kind[4:]
@@ -296,14 +286,14 @@ def _model(g: PairRateMatrix, kind: str, omegas, rates, time_unit) -> EvolutionM
             rates = _CLOSED_FORMS[(channel, "A-free")](g).optimal_rates
             if rates is None:
                 raise ValueError("optimal rates are undefined for this coupling")
-        if not isinstance(rates, MeasurementRates):
-            raise ValueError("ccg kinds need measurement rates")
-        if rates.mode != channel:
-            raise ValueError(f"{kind} needs {channel} rates")
-        if len(rates) != n:
-            raise ValueError("rates do not match the array size")
-        m = (np.diag(dephasing_given_rates(g, rates).per_clock) if channel == "pairwise"
-             else _global_dephasing_matrix(g.g, rates.global_gamma))
+        if not isinstance(rates, MeasurementRates) or rates.mode != channel:
+            raise ValueError(f"{kind} needs {channel} measurement rates")
+        per_clock = dephasing_given_rates(g, rates).per_clock
+        if channel == "global":
+            with np.errstate(over="ignore"):  # a sum past the range is refused below
+                for j, gamma in enumerate(rates.global_gamma):
+                    m += np.outer(g.g[:, j], g.g[:, j]) / (8.0 * gamma)
+        np.fill_diagonal(m, per_clock)
     return EvolutionModel(kind=kind, omegas=omegas, coupling=g.g, dephasing=m,
                           time_unit=time_unit)
 
@@ -343,12 +333,20 @@ def _generator_tables(model: EvolutionModel):
 
 
 def _check_propagation(n_state: int, model: EvolutionModel, times) -> np.ndarray:
+    """The times as an array: finite, >= 0, and keeping every phase |e_a - e_b| t
+    <= (2 sum|w| + sum|g|) t and decay Lambda_ab t <= 4 sum|M| t in the float range."""
     t = np.asarray(times, dtype=float)
     if not np.all((t >= 0) & (t < np.inf)):  # NaN fails both
         raise ValueError("time must be finite and non-negative")
     if n_state != model.n_clocks:
         raise ValueError(f"state and model sizes differ ({n_state} and "
                          f"{model.n_clocks} clocks)")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        bound = (2.0 * np.abs(model.omegas).sum() + np.abs(model.coupling).sum()
+                 + 4.0 * np.abs(model.dephasing).sum()) * np.max(t, initial=0.0)
+    if not bound < np.inf:
+        raise ValueError(f"the phases and decays at times up to {float(np.max(t))!r} "
+                         "leave the float range")
     return t
 
 
@@ -566,7 +564,10 @@ def coherence_decay_rate(trace: CoherenceTrace, clock: int = 0,
     if sum(t * t for t in times) == math.inf:  # and sums the squares, in this order
         raise ValueError(f"sample times up to {last!r} have squares summing past the "
                          "float range: too long to fit")
-    slope, intercept = np.polyfit(trace.times, logy, 1)
+    (slope, intercept), _, rank, _, _ = np.polyfit(trace.times, logy, 1, full=True)
+    if rank < 2:  # np.polyfit's own test, which it would otherwise warn about
+        raise ValueError(f"sample times from {times[0]!r} to {last!r} are too close "
+                         "together to fit a slope")
     resid = float(np.sqrt(np.mean((logy - (slope * trace.times + intercept)) ** 2)))
     if resid > residual_threshold:
         raise ValueError(

@@ -252,61 +252,47 @@ def min_dephasing_global_A(g: PairRateMatrix) -> DephasingReport:
                            optimal_rates=optimal)
 
 
-def min_dephasing_pairwise_B(g: PairRateMatrix) -> DephasingReport:
-    """Minimum when one fixed scalar rate serves every pairwise channel.
+def _min_fixed_scalar(g: PairRateMatrix, channel: str) -> DephasingReport:
+    """Minimum when one fixed scalar rate serves every channel of one kind.
 
-    Per clock: sqrt(N-1)/2 * sqrt(sum_j g_ij^2). The attached rates hold the
-    single scalar that minimizes the summed dephasing.
-
-    The per-clock form assumes equivalent sites, every row with the same
-    sum_j g_ij^2. By Cauchy-Schwarz the per-clock rates sum to at most the summed dephasing
-    at the best shared scalar, sqrt(N(N-1) sum_ij g_ij^2)/2, with equality
-    exactly when the row sums are equal.
-    """
-    n = len(g)
-    if n < 2:
-        raise ValueError("the fixed-rate minimum is undefined for a single clock")
-    s2 = _row_sums_of_squares(g.g)
-    per_clock = (math.sqrt(n - 1) / 2.0) * np.sqrt(s2)
-    with np.errstate(over="ignore"):  # MeasurementRates refuses an infinite total
-        total_sq = float(s2.sum())
-    optimal = None
-    if total_sq > 0:
-        gamma_star = math.sqrt(total_sq / (4.0 * n * (n - 1)))
-        gam = np.full((n, n), gamma_star)
-        np.fill_diagonal(gam, 0.0)
-        optimal = MeasurementRates("pairwise", pairwise_gamma=gam)
-    return DephasingReport(per_clock, "pairwise", "B-fixed",
-                           convention=g.convention,
-                           formula_id="pairwise-fixed-min",
-                           optimal_rates=optimal)
-
-
-def min_dephasing_global_B(g: PairRateMatrix) -> DephasingReport:
-    """Fixed-scalar counterpart of the global channel; same form as the free
-    global minimum per clock.
+    Clock i is fed by k channels (k = N-1 pairwise, 1 global); per clock the
+    minimum is sqrt(k)/2 * sqrt(sum_j g_ij^2), and the attached rates hold the
+    single scalar sqrt(sum_ij g_ij^2 / (4 N k)) that minimizes the summed
+    dephasing.
 
     The per-clock form assumes equivalent sites, every row with the same
     sum_j g_ij^2. By Cauchy-Schwarz the per-clock rates sum to at most the
-    summed dephasing at the best shared scalar, sqrt(N sum_ij g_ij^2)/2,
-    with equality exactly when the row sums are equal; the attached rates
-    hold that scalar.
+    summed dephasing at the best shared scalar, sqrt(N k sum_ij g_ij^2)/2,
+    with equality exactly when the row sums are equal.
     """
     n = len(g)
     if n < 2:
         raise ValueError("the fixed-rate minimum is undefined for a single clock")
+    k = n - 1 if channel == "pairwise" else 1
     s2 = _row_sums_of_squares(g.g)
-    per_clock = 0.5 * np.sqrt(s2)
+    per_clock = (math.sqrt(k) / 2.0) * np.sqrt(s2)
     with np.errstate(over="ignore"):  # MeasurementRates refuses an infinite total
         total_sq = float(s2.sum())
     optimal = None
     if total_sq > 0:
-        gamma_star = math.sqrt(total_sq / (4.0 * n))
-        optimal = MeasurementRates("global", global_gamma=np.full(n, gamma_star))
-    return DephasingReport(per_clock, "global", "B-fixed",
+        gamma_star = math.sqrt(total_sq / (4.0 * n * k))
+        gam = (np.where(np.eye(n, dtype=bool), 0.0, gamma_star) if channel == "pairwise"
+               else np.full(n, gamma_star))
+        optimal = MeasurementRates(channel, **{f"{channel}_gamma": gam})
+    return DephasingReport(per_clock, channel, "B-fixed",
                            convention=g.convention,
-                           formula_id="global-fixed-min",
+                           formula_id=f"{channel}-fixed-min",
                            optimal_rates=optimal)
+
+
+def min_dephasing_pairwise_B(g: PairRateMatrix) -> DephasingReport:
+    """`_min_fixed_scalar` of pairwise channels: sqrt(N-1)/2 * sqrt(sum_j g_ij^2)."""
+    return _min_fixed_scalar(g, "pairwise")
+
+
+def min_dephasing_global_B(g: PairRateMatrix) -> DephasingReport:
+    """`_min_fixed_scalar` of global channels: sqrt(sum_j g_ij^2)/2, the free form."""
+    return _min_fixed_scalar(g, "global")
 
 
 # (channel, case) -> closed-form minimum
@@ -392,7 +378,12 @@ def optimize_rates(g: PairRateMatrix, mode: str) -> tuple[MeasurementRates, Deph
 
     x0 = np.full((1,) * support.ndim if shared else support.shape,
                  np.mean(np.log(mat[off])))
-    x, converged = _newton(shares, x0)
+    # a step to a share past the float range, inf, is halved like any rise
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(shares(x0)).all():
+            raise ValueError("the dephasing at the optimizer's starting rates is out of "
+                             "the float range")
+        x, converged = _newton(shares, x0)
     rates = MeasurementRates(channel, **{f"{channel}_gamma": np.exp(x) * support})
     achieved = dephasing_given_rates(g, rates)
     report = DephasingReport(achieved.per_clock, channel, case,

@@ -12,7 +12,9 @@ Gamma = G m^2 / (hbar L_c^3), which turns the feedback sum into
 (G hbar L_c^3 w^2 / 8 c^4) sum_i d_i^(-4): only nearby atoms matter. For a
 spherical shell (inner radius l, outer L) the volume integral is exact:
 
-    D = Gamma_z / 2 + (pi G hbar w^2 / 2 c^4) (1/l - 1/L).
+    D = Gamma_z / 2 + pi (G hbar w^2 / 2 c^4) (1/l - 1/L),
+
+the bracket being `constants.dephasing_prefactor`.
 
 No minimization is attempted in this sector (the clock-mass asymmetry defeats
 it); experiment-derived bounds on the rates replace it.
@@ -32,6 +34,7 @@ from .constants import (
     FrequencyConvention,
     PositionMeasurementRate,
     Rate,
+    dephasing_prefactor,
 )
 from .continuum import _exact_sum
 from .geometry import _distances, _frozen
@@ -139,13 +142,14 @@ def redshift_coupling(mass: float, distance: float | np.ndarray, omega) -> float
         raise ValueError("distance must be positive")
     if mass < 0:
         raise ValueError("mass must be non-negative")
-    with np.errstate(over="ignore"):  # an overflowing square is refused below
-        squared = distance * distance
-    fits = np.ravel((squared > 0) & (squared < np.inf))
+    with np.errstate(over="ignore"):  # an overflowing c^2 d^2 is refused below
+        c2d2 = CONSTANTS.c ** 2 * (distance * distance)
+    fits = np.ravel((c2d2 > 0) & (c2d2 < np.inf))
     if not fits.all():
         bad = float(np.ravel(distance)[np.argmin(fits)])
-        raise ValueError(f"distance {bad!r} squared is out of the float range")
-    return CONSTANTS.G * mass * float(omega) / (CONSTANTS.c ** 2 * squared)
+        raise ValueError(f"distance {bad!r} squared is out of the float range of "
+                         "G m w / (c^2 d^2)")
+    return CONSTANTS.G * mass * float(omega) / c2d2
 
 
 def internal_measurement_rate(atom_mass: float, lattice_constant: float) -> PositionMeasurementRate:
@@ -195,12 +199,8 @@ def shell_dephasing(inner_radius: float, outer_radius: float, omega,
     """Closed-form clock dephasing from a shell of matter around the clock."""
     ShellShape(inner_radius, outer_radius)  # the radii rule
     gz = _clock_rate(gamma_z)
-    try:
-        feedback = (math.pi * CONSTANTS.G * CONSTANTS.hbar * float(omega) ** 2
-                    / (2.0 * CONSTANTS.c ** 4)) * (1.0 / inner_radius - 1.0 / outer_radius)
-    except OverflowError:  # a float w^2 overflows
-        raise ValueError(f"angular frequency {float(omega)!r} squared is out of the "
-                         "float range") from None
+    feedback = (math.pi * dephasing_prefactor(omega)
+                * (1.0 / inner_radius - 1.0 / outer_radius))
     total = gz / 2.0 + feedback  # a float product or sum overflows to inf
     if not math.isfinite(total):
         raise ValueError("the shell's dephasing rate is out of the float range")

@@ -11,7 +11,7 @@ reference value is marked, and the claim status is graded as reproduced
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .constants import FrequencyConvention, apply_convention, dephasing_prefactor
 from .continuum import _CENTER_RATES, SOLID_ANGLE, continuum_sum
@@ -70,7 +70,8 @@ class PaperReport:
         raise KeyError(claim_id)
 
     def to_json_dict(self) -> dict:
-        return {"entries": [dict(asdict(e), rows=[asdict(r) for r in e.rows])
+        # the fields are strs, numbers, bools and None: one shallow copy each
+        return {"entries": [{**vars(e), "rows": [vars(r).copy() for r in e.rows]}
                             for e in self.entries]}
 
     def csv_rows(self) -> list[list]:

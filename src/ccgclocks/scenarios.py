@@ -26,9 +26,9 @@ float by its shortest round-trip repr, a function of the float's bits alone.
 Rate matrices repeat few values (lattice distances, a B-fixed scalar, the
 two halves of a symmetric matrix), so a large one costs about one repr per
 distinct value. A JSON artifact is formatted as it is written, in chunks of
-bounded size, so no artifact is held whole in memory; the files of one
-convention are written all or nothing, so a refusal partway through a file
-removes that convention's files.
+bounded size, so no artifact is held whole in memory; a run's files are
+written all or nothing, so a refusal partway through a file, or in the second
+of two conventions, removes every file of the run.
 """
 
 from __future__ import annotations
@@ -767,29 +767,28 @@ def run_scenario(config: dict | str | Path, out_dir: str | Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     params = _as_ints(config.get("parameters", {}), _PARAMETER_SCHEMAS[kind])
     written = []
-    for conv in conventions:
-        conv_stem = stem if len(conventions) == 1 \
-            else f"{stem}_{_CONVENTION_SUFFIX[conv]}"
-        meta = {"package": "ccgclocks", "version": __version__}
-        if names_convention:
-            meta["convention"] = conv.value
-        artifacts = {conv_stem + suffix: data
-                     for suffix, data in runner(params, conv).items()
-                     if fmt == "both" or suffix.endswith("." + fmt) or suffix in every_format}
-        opened = []
-        try:
+    try:
+        for conv in conventions:
+            conv_stem = stem if len(conventions) == 1 \
+                else f"{stem}_{_CONVENTION_SUFFIX[conv]}"
+            meta = {"package": "ccgclocks", "version": __version__}
+            if names_convention:
+                meta["convention"] = conv.value
+            artifacts = {conv_stem + suffix: data
+                         for suffix, data in runner(params, conv).items()
+                         if fmt == "both" or suffix.endswith("." + fmt)
+                         or suffix in every_format}
             for name in sorted(artifacts):
                 data, path = artifacts[name], out_dir / name
                 chunks = (_json_chunks({"meta": meta, **data}) if isinstance(data, dict)
                           else [_csv_bytes(data) if isinstance(data, list) else data])
                 with path.open("wb") as f:
-                    opened.append(path)
+                    written.append(path)
                     f.writelines(chunks)
-        except BaseException:
-            # all or nothing for each convention: a JSON artifact is formatted
-            # as it is written, so a refusal can come partway through a file
-            for path in opened:
-                path.unlink(missing_ok=True)
-            raise
-        written += opened
+    except BaseException:
+        # all or nothing: a JSON artifact is formatted as it is written, so a
+        # refusal can come partway through a file, or in a later convention
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return written

@@ -1,14 +1,20 @@
+import contextlib
+import csv
+import dataclasses
 import importlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccgclocks import cli
 from ccgclocks.cli import main
@@ -18,7 +24,8 @@ from ccgclocks.geometry import ClockSpec, pair_interaction_rate
 from ccgclocks.redshift import bound_parameters
 from ccgclocks.report import (PRESETS, atoms_for_target_rate, array_minimum_rate,
                               paper_report)
-from ccgclocks.scenarios import emit_plot_data, run_scenario, validate_scenario
+from ccgclocks.scenarios import (_GAMMA_SCHEMA, _PARAMETER_SCHEMAS, SCENARIO_SCHEMA,
+                                 emit_plot_data, run_scenario, validate_scenario)
 
 
 def approx(expected, rel, abs=0.0):
@@ -314,6 +321,13 @@ class TestCliEntryPoint:
         assert "invalid config at output/stem" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
 
+    def test_stem_too_long_for_the_file_system_exit_3_writing_nothing(self, tmp_path, capsys):
+        # the file system refuses the name: an OSError traceback, exit 1
+        cfg = write_config(tmp_path, {"kind": "paper-report", "output": {"stem": "x" * 300}})
+        assert main(["paper-report", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "File name too long" in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_paper_report_without_config(self, tmp_path):
         assert main(["paper-report", "--out", str(tmp_path / "o")]) == 0
         payload = json.loads((tmp_path / "o" / "paper_report.json").read_text())
@@ -524,6 +538,36 @@ NON_FINITE_CONFIGS = {
         "geometry": {"lattice": dict(TINY_CHAIN["lattice"], lattice_constant=1e-6,
                                      quoted_frequency=1e200)},
         "mode": "pairwise", "case": "A-free"}}),
+    # an infinite lattice constant, whose centre site is 0 * inf
+    "optimize_lattice_constant_inf": ("optimize", {"kind": "optimize", "parameters": {
+        "geometry": {"lattice": dict(TINY_CHAIN["lattice"], lattice_constant=math.inf,
+                                     counts=[3])},
+        "mode": "pairwise"}}),
+    # phases (e_a - e_b) t past the float range, in the trace and in the export
+    "simulate_phase_overflow": ("simulate", {"kind": "simulate", "parameters": {
+        "kind": "ccg-pairwise", "initial_state": ["plus", "plus"],
+        "coupling_matrix": [[0.0, 1e15], [1e15, 0.0]], "times": {"stop": 1e300, "num": 5}}}),
+    "simulate_export_phase_overflow": ("simulate", {"kind": "simulate", "parameters": {
+        "kind": "ccg-pairwise", "initial_state": ["plus"], "coupling_matrix": [[0.0]],
+        "omegas": [1e15], "gamma": {"pairwise": [[0.0]]}, "export_density_matrix": True,
+        "times": {"stop": 1e300, "num": 5}}}),
+    # pair rates 1e-285 to 1e121, whose shares overflow at the optimizer's start
+    "optimize_start_overflow": ("optimize", {"kind": "optimize", "parameters": {
+        "mode": "fixed-scalar", "geometry": {"clocks": [
+            {"position": [3e-07, 3.0, 0.5], "quoted_frequency": 1e200},
+            {"position": [1.0, 0.1, 3e-07], "quoted_frequency": 2.0},
+            {"position": [1e15, 0.1, 1e100], "quoted_frequency": 1.0},
+            {"position": [1e200, 0.1, 1.0], "quoted_frequency": 3e-07}]}}}),
+    # sweep rates past 1e154, whose squares three scaling fits take
+    "sweep_rate_square_overflow": ("scaling", {"kind": "scaling-sweep", "parameters": {
+        "dimension": 3, "mode": "global", "case": "B-fixed", "quoted_frequency": 1e154,
+        "lattice_constant": 3.0}}),
+    # a frequency whose square fits directly but not times 2 pi: the direct
+    # files of "both" are removed too
+    "shell_frequency_overflow_in_2pi": ("redshift", dict(REDSHIFT_SIMPLE, convention="both",
+                                                         parameters=dict(
+        REDSHIFT_SIMPLE["parameters"], quoted_frequency=1e154, body={
+            "kind": "shell", "inner_radius": 0.5, "outer_radius": 2.0}))),
 }
 
 
@@ -611,6 +655,7 @@ def test_fit_on_times_whose_squares_underflow_is_refused_quietly(tmp_path, capfd
     ({"fit_clock": 5, "times": {"stop": 3.0, "num": 11}}, "fit clock 5 out of range"),
     ({"times": {"stop": 1e-100, "num": 11}}, "within rounding noise"),
     ({"times": {"stop": 1e-153, "num": 11}}, "within rounding noise"),
+    ({"times": {"start": 2.0, "stop": 2.0, "num": 11}}, "too close together to fit"),
 ])
 def test_fits_the_trace_cannot_support_are_refused_quietly(tmp_path, capfd, parameters, error):
     # fit_clock 5 ended in an IndexError traceback (exit 1); the short traces
@@ -717,6 +762,14 @@ class TestPaperReport:
                 if row.formula_id.endswith(("-continuum", "-inverted")):
                     assert row.formula_id.startswith(row.mode)
 
+    def test_json_dict_holds_every_field_as_asdict_does(self):
+        report = paper_report()
+        got = report.to_json_dict()
+        assert got == {"entries": [dict(dataclasses.asdict(e), rows=[
+            dataclasses.asdict(r) for r in e.rows]) for e in report.entries]}
+        got["entries"][0]["rows"][0]["value"] = None  # a copy, not the report's fields
+        assert report.entries[0].rows[0].value is not None
+
     def test_rows_are_convention_major(self):
         for entry in paper_report().entries:
             half = len(entry.rows) // 2
@@ -748,3 +801,160 @@ def test_emit_plot_data_rows():
                             "fit_param": 1 / 6}]).decode()
     lines = data.splitlines()
     assert lines[1].startswith("125,3,global,A-free,1.5e-40,power-law")
+
+
+# -- the CLI contract as a property --------------------------------------------------
+
+_CONTRACT_NUMBERS = ([3e-7, 1e-6, 0.1, 0.5, 1.0, 2.0, 3.0, 1e15],
+                     [0.0, 1e-320, 1e-300, 1e-170, 1e100, 1e154, 1e160, 1e200, 1e300,
+                      -1.0, math.nan, math.inf])
+_CONTRACT_STEMS = ["x", "run.1", "..", ".", "a b", "é", "../escaped", "sub/x", "sub\\x", "/abs",
+                   "x" * 300]
+# sizes are kept small: a large count or num allocates before any check runs
+_CONTRACT_INTEGERS = {"num": st.integers(2, 64), "fit_clock": st.integers(0, 7),
+                      "counts": st.integers(1, 6), "sides": st.sampled_from([3, 4, 5, 7, 9])}
+
+
+def _at_most_six_sites(counts):
+    """Lattice counts, each capped so that they multiply to at most 6."""
+    room, capped = 6, []
+    for count in counts:
+        capped.append(type(count)(min(count, room)))
+        room //= int(capped[-1])
+    return capped
+
+
+def _contract_value(schema, n, key=None):
+    """A strategy for values of `schema`, mostly valid ones, with every list of
+    numbers, and every matrix of them, sized for n clocks."""
+    if "oneOf" in schema and "properties" not in schema:
+        return st.one_of([_contract_value(branch, n, key) for branch in schema["oneOf"]])
+    if "const" in schema:
+        return st.just(schema["const"])
+    if "enum" in schema:
+        ints = [float(v) for v in schema["enum"] if type(v) is int]
+        return st.sampled_from(schema["enum"] + ints)
+    kind = schema.get("type")
+    if kind == "boolean":
+        return st.booleans()
+    if kind == "number":  # an ordinary value 3 times in 4; NaN passes a minimum
+        low = schema.get("minimum", -math.inf)
+        above = schema.get("exclusiveMinimum", -math.inf)
+        pools = [[x for x in pool if not (x < low or x <= above)]
+                 for pool in _CONTRACT_NUMBERS]
+        return st.sampled_from([0, 0, 0, 1]).flatmap(lambda k: st.sampled_from(pools[k]))
+    if kind == "integer":  # an integral float is an integer too
+        ints = _CONTRACT_INTEGERS[key]
+        return st.one_of(ints, ints.map(float))
+    if kind == "string":
+        if key == "stem":
+            return st.sampled_from(_CONTRACT_STEMS)
+        return st.sampled_from(["plus", "zero", "one", "minus", "plus-i", "sideways"])
+    if kind == "array":
+        items = schema["items"]
+        lo, hi = schema.get("minItems", 1), schema.get("maxItems", 6)
+        if key == "counts":
+            return st.lists(_contract_value(items, n, key), min_size=lo,
+                            max_size=hi).map(_at_most_six_sites)
+        if key == "sides":
+            return st.lists(_contract_value(items, n, key), min_size=4, max_size=5)
+        if items.get("type") == "array" and "minItems" not in items:  # an N x N matrix
+            cell = _contract_value(items["items"], n)
+            return st.lists(cell, min_size=n * n, max_size=n * n).map(
+                lambda cells: [[0.0 if i == j else cells[n * min(i, j) + max(i, j)]
+                                for j in range(n)] for i in range(n)])
+        size = st.just(lo) if lo == hi else st.one_of(st.just(n), st.integers(lo, hi))
+        return size.flatmap(lambda k: st.lists(_contract_value(items, n, key),
+                                               min_size=k, max_size=k))
+    # an object: every required property, some optional ones, and one key of
+    # each oneOf of required keys
+    properties = schema["properties"]
+    required = set(schema.get("required", ()))
+    choices = [b["required"][0] for b in schema.get("oneOf", ())]
+    optional = sorted(properties.keys() - required - set(choices))
+    return st.tuples(st.sampled_from(choices or [None]),
+                     st.lists(st.sampled_from(optional), unique=True) if optional
+                     else st.just([])).flatmap(
+        lambda pick: st.fixed_dictionaries({
+            k: _contract_value(properties[k], n, k)
+            for k in sorted(required | set(pick[1]) | ({pick[0]} - {None}))}))
+
+
+def _keep_the_unwritten_rules(draw, kind, params, n):
+    """Make `params` keep the rules that the schema cannot state, so that most
+    drawn configs reach the computation."""
+    if kind == "rates":  # a gamma block exactly for given rates, of the mode's shape
+        params.pop("gamma", None)
+        if params["case"] == "given-rates":
+            mode = params["mode"]
+            params["gamma"] = {mode: draw(_contract_value(_GAMMA_SCHEMA["properties"][mode], n))}
+    geometry = params.get("geometry", {})
+    lattice = geometry.get("lattice")
+    if lattice and type(lattice["dimension"]) is int:  # one count per axis
+        lattice["counts"] = (lattice["counts"] + [1, 1])[:lattice["dimension"]]
+    clocks = geometry.get("clocks", [])
+    if not all("rest_mass" in clock for clock in clocks):  # masses: all or none
+        for clock in clocks:
+            clock.pop("rest_mass", None)
+    if "sides" in params:  # odd sides
+        params["sides"] = [side | 1 for side in map(int, params["sides"])]
+    if kind == "simulate":  # one state and frequency per coupled clock, rates of the kind
+        size = len(params.get("coupling_matrix", [[0.0, 1.0], [1.0, 0.0]]))
+        for key in ("initial_state", "omegas"):
+            if key in params:
+                params[key] = (params[key] * size)[:size]
+        if type(params.get("gamma")) is dict and params["kind"][4:] not in params["gamma"]:
+            params["gamma"] = "optimal"
+
+
+@st.composite
+def contract_configs(draw):
+    """(subcommand, convention flag, config) drawn from SCENARIO_SCHEMA, three
+    in four keeping the rules that it cannot state."""
+    kind = draw(st.sampled_from(SCENARIO_SCHEMA["properties"]["kind"]["enum"]))
+    n = draw(st.integers(1, 6))
+    config = {"kind": kind,
+              "parameters": draw(_contract_value(_PARAMETER_SCHEMAS[kind], n))}
+    for key in ("convention", "output"):
+        if draw(st.booleans()):
+            config[key] = draw(_contract_value(SCENARIO_SCHEMA["properties"][key], n, key))
+    if draw(st.integers(0, 3)):
+        _keep_the_unwritten_rules(draw, kind, config["parameters"], n)
+    subcommand = next(s for s, k in cli._SUBCOMMANDS.items() if k == kind)
+    return subcommand, draw(st.sampled_from([None, "direct", "2pi", "both"])), config
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=250, deadline=None)
+@given(contract_configs())
+def test_cli_contract(case):
+    subcommand, convention, config = case
+    flag = [] if convention is None else ["--convention", convention]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg, out = root / "cfg.json", root / "out"
+        cfg.write_text(json.dumps(config), encoding="utf-8")  # NaN and Infinity too
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main([*flag, subcommand, "--config", str(cfg), "--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err and "Warning" not in err, err
+        assert {p.name for p in root.iterdir()} <= {"cfg.json", "out"}
+        files = sorted(out.iterdir()) if out.exists() else []
+        if code != 0:
+            assert files == [], err
+            return
+        assert files and all(p.is_file() for p in files)
+        assert [str(p) for p in files] == sorted(stdout.getvalue().split("\n")[:-1])
+        for path in files:
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=_refuse_constant)
+            else:
+                assert path.suffix == ".csv" and list(csv.reader(io.StringIO(text)))

@@ -152,6 +152,16 @@ class TestLatticeSumExact:
         with pytest.raises(ValueError, match="not finite"):
             lattice_sum_exact(arr, 0, 1.0)
 
+    @pytest.mark.parametrize("lattice_constant", [1e160, 1e200])
+    def test_a_sum_below_the_normal_float_range_is_refused(self, lattice_constant):
+        # 9.1007e-320 and 0.0 were returned, where _center_sums refuses the grid
+        arr = build_lattice(2, lattice_constant, [5, 5], W15)
+        with pytest.raises(ValueError, match="clock 12 leaves the normal float range"):
+            lattice_sum_exact(arr, arr.center_index(), 2.0)
+        with pytest.raises(ValueError, match="leaves the normal float range"):
+            _center_sums(2, [5], 2.0, lattice_constant)
+        assert lattice_sum_exact(arr, arr.center_index(), 1.0) > 0.0
+
     def test_center_sum_where_squared_distances_underflow(self):
         # the sum of the true centre, clock 12, not clock 0's 9.05e170
         arr = build_lattice(2, 1e-170, [5, 5], W15)

@@ -287,6 +287,19 @@ def test_every_pair_rate_divides_by_the_one_distance_kernel(seed, n, scale):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e13, 1e17), st.floats(1e13, 1e17),
+       st.sampled_from(list(FrequencyConvention)),
+       st.integers(0, 2**32 - 1), st.sampled_from([1e-170, 1e-6, 3e-7, 1.0, 1e200]))
+def test_pair_rate_is_the_matrix_cell_bit_for_bit(f1, f2, convention, seed, scale):
+    # the two were formed in different orders and disagreed in the last bit
+    w1, w2 = (float(apply_convention(f, convention)) for f in (f1, f2))
+    p1, p2 = np.random.default_rng(seed).normal(size=(2, 3)) * scale
+    a, b = _clock(tuple(p1), omega=w1), _clock(tuple(p2), omega=w2)
+    cell = pair_rate_matrix(ClockArray.from_clocks([a, b], convention=convention)).g[0, 1]
+    assert float(pair_interaction_rate(a, b)).hex() == float(cell).hex()
+
+
 def test_matrix_scaling_laws():
     rng = np.random.default_rng(3)
     pos = rng.uniform(0, 1e-5, size=(4, 3))

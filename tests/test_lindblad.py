@@ -24,7 +24,8 @@ from ccgclocks.lindblad import (
     simulate_coherence,
     single_clock_coherences,
 )
-from ccgclocks.rates import _CLOSED_FORMS, MeasurementRates, min_dephasing_pairwise_A
+from ccgclocks.rates import (_CLOSED_FORMS, MeasurementRates, dephasing_given_rates,
+                             min_dephasing_pairwise_A)
 
 G2 = [[0.0, 1.0], [1.0, 0.0]]
 
@@ -298,20 +299,46 @@ class TestBuildModel:
         g += g.T
         gamma = (_CLOSED_FORMS[("global", "A-free")](PairRateMatrix(g)).optimal_rates
                  .global_gamma if optimal else rng.uniform(0.3, 1.5, n) * g.max())
-        model = dimensionless_model(g, kind="ccg-global",
-                                    rates=MeasurementRates("global", global_gamma=gamma))
+        rates = MeasurementRates("global", global_gamma=gamma)
+        model = dimensionless_model(g, kind="ccg-global", rates=rates)
         m = model.dephasing
         assert m.tobytes() == m.T.tobytes()
-        # the per-clock rates and couplings of simulate.json and simulate_rho.json
-        assert m.tobytes() == outer_product_dephasing(g, gamma).tobytes()
+        # the per-clock rates of simulate.json are the rates kernel's, and the
+        # correlated terms of simulate_rho.json the defining outer products'
+        per_clock = dephasing_given_rates(PairRateMatrix(g), rates).per_clock
+        assert np.diag(m).tobytes() == per_clock.tobytes()
+        off = ~np.eye(n, dtype=bool)
+        assert m[off].tobytes() == outer_product_dephasing(g, gamma)[off].tobytes()
         rebuilt = EvolutionModel(kind="ccg-global", omegas=model.omegas,
                                  coupling=model.coupling, dephasing=m)
         assert rebuilt.dephasing.tobytes() == m.tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.sampled_from(["pairwise", "global"]),
+           st.sampled_from([0, 5, 60]), st.booleans())
+    def test_model_diagonal_is_the_rates_kernel_bit_for_bit(self, seed, n, channel, spread,
+                                                            optimal):
+        # a global model summed its diagonal in another order than the rates
+        # kernel and disagreed in the last bit
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(0.1, 1.0, (n, n)) * 10.0 ** rng.uniform(-spread, spread, (n, n))
+        g = PairRateMatrix(np.triu(g, 1) + np.triu(g, 1).T)
+        if optimal:
+            rates = _CLOSED_FORMS[(channel, "A-free")](g).optimal_rates
+        else:
+            shape = (n, n) if channel == "pairwise" else (n,)
+            gamma = rng.uniform(0.3, 1.5, shape) * g.g.max() * 10.0 ** rng.uniform(-spread, spread)
+            if channel == "pairwise":
+                np.fill_diagonal(gamma, 0.0)
+            rates = MeasurementRates(channel, **{f"{channel}_gamma": gamma})
+        model = dimensionless_model(g.g, kind=f"ccg-{channel}", rates=rates)
+        want = dephasing_given_rates(g, rates).per_clock
+        assert model.per_clock_dephasing.tobytes() == want.tobytes()
+
     def test_overflowing_channel_models_are_refused_without_a_warning(self):
-        # g^2 / 8 Gamma and a division by the reference overflow
+        # g^2 overflows, refused by the rates kernel; then a division by the reference
         rates = MeasurementRates("global", global_gamma=np.array([1e-300, 1e-300]))
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=r"pair rate 1e\+200 squared is out of the float"):
             dimensionless_model([[0.0, 1e200], [1e200, 0.0]], kind="ccg-global",
                                 rates=rates)
         with pytest.raises(ValueError, match="must be finite"):
@@ -496,6 +523,22 @@ class TestEvolveNumeric:
 
 
 class TestCoherence:
+    @pytest.mark.parametrize("coupling, gamma", [(1e15, 1.0), (1e-10, 1e10)])
+    def test_times_past_the_float_range_of_the_rates_are_refused(self, coupling, gamma):
+        # a phase 2e15 t, or a decay 2e10 t, overflowed with a warning at t = 1e300
+        model = dimensionless_model([[0.0, coupling], [coupling, 0.0]], omegas=[1.0, 1.0],
+                                    rates=MeasurementRates("pairwise", pairwise_gamma=[
+                                        [0.0, gamma], [gamma, 0.0]]))
+        rho0 = DensityMatrix.all_plus(2)
+        for propagate in (lambda: evolve_exact(rho0, model, 1e300),
+                          lambda: evolve_numeric(rho0, model, 1e300, 1e299),
+                          lambda: simulate_coherence(model, rho0, [0.0, 1e300]),
+                          lambda: product_state_coherence(model, ["plus"] * 2, [0.0, 1e300])):
+            with pytest.raises(ValueError, match=r"at times up to 1e\+300 leave the float"):
+                propagate()
+        assert np.isfinite(product_state_coherence(model, ["plus"] * 2, [0.0, 1e250])
+                           .magnitudes).all()
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_coherence_kernel_matches_evolved_state(self, kind):
         rng = np.random.default_rng(23)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ccgclocks.constants import CONSTANTS, apply_convention
+from ccgclocks.constants import CONSTANTS, apply_convention, dephasing_prefactor
 from ccgclocks.redshift import (
     CompositeBody,
     ExplicitAtoms,
@@ -79,10 +79,11 @@ class TestRedshiftCoupling:
         with pytest.raises(ValueError, match="distance must be positive"):
             redshift_coupling(3.0, np.array([1.0, math.nan]), W15)
 
-    @pytest.mark.parametrize("distance", [1e200, 1e-200])
+    @pytest.mark.parametrize("distance", [1e200, 1e-200, 1e154])
     def test_distance_squared_out_of_float_range_is_typed(self, distance):
-        # d * d overflows, or underflows to zero and divides, for a float
-        # distance and an array entry alike, with no RuntimeWarning
+        # d * d overflows, or underflows to zero and divides, or c^2 d^2
+        # overflows (1e154), for a float distance and an array entry alike,
+        # with no RuntimeWarning
         message = f"distance {distance!r} squared is out of the float range"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -155,6 +156,15 @@ class TestShellDephasing:
     def test_distant_shell_vanishes(self):
         far = shell_dephasing(1e9, 2e9, W15, 0.0)
         assert far.feedback_part < 1e-55
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(_log_uniform(-12, 12), st.floats(1.0, 1e6), _log_uniform(0, 100))
+    def test_feedback_is_pi_times_the_dephasing_prefactor(self, inner, ratio, omega):
+        # the shell kept its own copy of the prefactor, in another order
+        got = shell_dephasing(inner, inner * ratio, omega, 0.0).feedback_part
+        want = math.pi * dephasing_prefactor(omega) * (1.0 / inner - 1.0 / (inner * ratio))
+        assert got.hex() == want.hex()
 
 
 class TestCompositeDephasing:
