@@ -36,7 +36,8 @@ _EXPORTS = {
         "redshift_coupling", "shell_dephasing", "simple_particle_dephasing"),
     "report": ("PaperReport", "paper_report"),
     "scenarios": (
-        "SCENARIO_SCHEMA", "emit_plot_data", "run_scenario", "validate_scenario"),
+        "SCENARIO_SCHEMA", "ConfigError", "emit_plot_data", "run_scenario",
+        "validate_scenario"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .scenarios import run_scenario
+from .scenarios import ConfigError, run_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -56,13 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validation_error() -> type:
-    """jsonschema's error class, imported only once a run has raised."""
-    import jsonschema
-
-    return jsonschema.ValidationError
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     kind = _SUBCOMMANDS[args.command]
@@ -85,13 +78,13 @@ def main(argv=None) -> int:
 
     try:
         written = run_scenario(config, args.out, convention_override=args.convention)
+    except ConfigError as exc:  # a ValueError: caught before the computation's
+        path = "/".join(str(p) for p in exc.path) or "<root>"
+        print(f"error: invalid config at {path}: {exc.message}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (ValueError, RuntimeError, OSError) as exc:  # OSError: a file not written
         print(f"error: computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
-    except _validation_error() as exc:  # evaluated only when a run raises
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        print(f"error: invalid config at {path}: {exc.message}", file=sys.stderr)
-        return EXIT_VALIDATION
     for path in written:
         print(path)
     return EXIT_OK

@@ -152,13 +152,20 @@ def continuum_sum(N: int, D: int, L_c: float, alpha: float) -> ContinuumEstimate
     S_D = SOLID_ANGLE[D]
     R = N ** (1.0 / D) * L_c
     power = D - 1.0 - alpha
+    # the outer radius in lattice constants; 1D has two half-lines of N/2 clocks
+    weight, reach = (2.0 * S_D, N / 2.0) if D == 1 else (S_D, N ** (1.0 / D))
     try:
-        if D == 1:  # two half-lines of N/2 clocks each
-            value = 2.0 * (S_D / L_c) * _radial_integral(L_c, (N / 2.0) * L_c, power)
-        else:
-            value = (S_D / L_c ** D) * _radial_integral(L_c, R, power)
+        cell = L_c ** D
+        value = weight / cell * _radial_integral(L_c, reach * L_c, power)
     except (OverflowError, ZeroDivisionError):  # a power of L_c out of the float range
-        value = math.inf
+        cell = value = math.inf
+    if L_c < 1.0 and not (math.isfinite(value) and cell >= _TINY):
+        # a power of L_c below the normal range: as in _center_sums, the unit
+        # grid's integral times L_c^-alpha
+        try:
+            value = weight * L_c ** -alpha * _radial_integral(1.0, reach, power)
+        except OverflowError:
+            value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"continuum estimate at L_c={L_c!r} is out of the float range")
     return ContinuumEstimate(D=D, alpha=alpha, S_D=S_D, L_c=L_c, R=R, value=value)

@@ -294,6 +294,15 @@ def pair_interaction_rate(clock1: ClockSpec, clock2: ClockSpec) -> Rate:
     return Rate(G_HBAR_OVER_C4 * (float(clock1.omega) * float(clock2.omega)) / d)
 
 
+def _check_dense_size(n: int) -> None:
+    """Refuses a pair matrix of `n` clocks past the dense limit; a caller
+    that knows `n` before building the array checks it first."""
+    if n > _PAIR_MATRIX_LIMIT:
+        raise ValueError(
+            f"pair rate matrix for N={n} clocks exceeds the dense limit "
+            f"({_PAIR_MATRIX_LIMIT}); use the continuum module for large arrays")
+
+
 def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
     """Full symmetric matrix of pair interaction rates for an array.
 
@@ -311,10 +320,7 @@ def pair_rate_matrix(array: ClockArray) -> PairRateMatrix:
     difference and its negation square alike), so the result is built trusted.
     """
     n = len(array)
-    if n > _PAIR_MATRIX_LIMIT:
-        raise ValueError(
-            f"pair rate matrix for N={n} clocks exceeds the dense limit "
-            f"({_PAIR_MATRIX_LIMIT}); use the continuum module for large arrays")
+    _check_dense_size(n)
     pos, omegas = array.positions, array.omegas
     x, y, z = np.ascontiguousarray(pos.T)  # the coordinate columns
     g = np.empty((n, n))

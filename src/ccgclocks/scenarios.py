@@ -11,10 +11,11 @@ rows (a list), a JSON payload without its "meta" block (a dict) or finished
 bytes. `run_scenario` alone names, filters by output format, encodes and
 writes them; what differs between kinds is data in `_RUNNERS`.
 
-A checker written here decides, as Draft 2020-12 would, that a config is
-valid; jsonschema is imported only to explain a config the checker refuses,
-so every error message and path is jsonschema's. A runner imports the
-modules its kind uses when it runs.
+One checker written here decides, as Draft 2020-12 would, whether a config
+is valid, and names the first value it refuses: `ConfigError` carries the
+message, in jsonschema's wording, and the path to that value. jsonschema is
+the tests' oracle, not a dependency. A runner imports the modules its kind
+uses when it runs.
 
 A JSON artifact is strict JSON: it equals
 json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n" byte
@@ -34,7 +35,6 @@ of two conventions, removes every file of the run.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .constants import FrequencyConvention, apply_convention
-from .geometry import ClockArray, build_lattice, pair_rate_matrix
+from .geometry import ClockArray, _check_dense_size, build_lattice, pair_rate_matrix
 from .rates import (_CLOSED_FORMS, MeasurementRates, dephasing_given_rates,
                     optimize_rates)
 
@@ -230,10 +230,12 @@ _PLAIN_NUMBERS = {int, float}
 
 
 def _offenders(items, instance):
-    """Indices of the elements of `instance` that jsonschema must check
-    against `items`, when `items` is {"type": "number"} or an array of such
-    with no keyword but minItems/maxItems; else None. Every other element is
-    a plain int or float, or a list of them of allowed length: no error."""
+    """Indices of the elements of `instance` that `_error` must check against
+    `items`, when `items` is {"type": "number"} or an array of such with no
+    keyword but minItems/maxItems; else None. Every other element is a plain
+    int or float, or a list of them of allowed length, which `items` accepts:
+    a valid list of numbers or rows costs one pass, and a refused one names
+    only its offenders."""
     if items == _NUMBER:
         if set(map(type, instance)) <= _PLAIN_NUMBERS:
             return ()
@@ -251,66 +253,83 @@ def _offenders(items, instance):
                     and set(map(type, row)) <= _PLAIN_NUMBERS))
 
 
-# -- acceptance: decided here, without jsonschema ---------------------------------
-
-class _Unsure(Exception):
-    """A value of a type JSON does not parse to: jsonschema decides."""
-
-
 _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
                type(None): "null", int: "integer", float: "number"}
 
 
-def _equal(x, value) -> bool:
-    """enum/const equality: True is not 1, but 1.0 is."""
-    return x == value and (type(x) is bool) == (type(value) is bool)
+class ConfigError(ValueError):
+    """A scenario config that validation refuses: `message` says why, and
+    `path`, the keys and indices from the config's root, says where."""
+
+    def __init__(self, message: str, path=()):
+        super().__init__(message)
+        self.message, self.path = message, tuple(path)
 
 
-def _valid(x, schema) -> bool:
-    """Whether `x` is valid against `schema` as Draft 2020-12 decides, for
-    the keywords the scenario schemas use; any other keyword is a KeyError.
+def _error(x, schema):
+    """(message, path) of the first value in `x` that `schema` refuses, or
+    None, as Draft 2020-12 decides for the keywords the scenario schemas use;
+    any other keyword (or additionalProperties but false) is a KeyError.
+    Messages keep jsonschema's wording; the path from `x` to the value is
+    built only on the way back from a refusal.
 
-    Raises _Unsure for a value that is not a plain dict, list, str, int,
-    float, bool or None, so that no `oneOf` count rests on a guess.
+    A `oneOf` that no branch accepts gives the error of the branch whose
+    error lies deepest, the first on a tie. A value of a type json.loads
+    never returns (a tuple, a numpy scalar) is refused as not a JSON value.
     """
-    if isinstance(schema, bool):
-        return schema
     t = type(x)
     if t not in _JSON_TYPES:
-        raise _Unsure
+        return f"{x!r} is not a JSON value", ()
     number, size = t in _PLAIN_NUMBERS, len(x) if t in (list, str) else 0
     for key, value in schema.items():
+        children = ()
         if key == "type":
             kind = _JSON_TYPES[t]
-            ok = (kind == value or (kind, value) == ("integer", "number")
-                  or ((kind, value) == ("number", "integer") and x.is_integer()))
-        elif key in ("enum", "const"):
-            ok = any(_equal(x, v) for v in (value if key == "enum" else [value]))
+            if not (kind == value or (kind, value) == ("integer", "number")
+                    or ((kind, value) == ("number", "integer") and x.is_integer())):
+                return f"{x!r} is not of type {value!r}", ()
+        elif key in ("enum", "const"):  # True is not 1, but 1.0 is
+            if not any(x == v and (t is bool) == (type(v) is bool)
+                       for v in (value if key == "enum" else [value])):
+                return (f"{x!r} is not one of {value!r}" if key == "enum"
+                        else f"{value!r} was expected"), ()
         elif key == "oneOf":
-            ok = sum(_valid(x, branch) for branch in value) == 1
+            errors = [_error(x, branch) for branch in value]
+            valid = [branch for branch, error in zip(value, errors) if error is None]
+            if not valid:
+                return max(errors, key=lambda error: len(error[1]))
+            if len(valid) > 1:  # the value itself is not repeated: it may be large
+                return f"is valid under each of {', '.join(map(repr, valid))}", ()
         elif key in ("minimum", "exclusiveMinimum"):  # NaN passes both
-            ok = not number or not (x < value if key == "minimum" else x <= value)
+            if number and (x < value if key == "minimum" else x <= value):
+                return (f"{x!r} is less than {'' if key == 'minimum' else 'or equal to '}"
+                        f"the minimum of {value!r}", ())
         elif key in ("minItems", "maxItems", "minLength"):
-            ok = t is not (str if key == "minLength" else list) or (
-                size <= value if key == "maxItems" else size >= value)
+            if t is (str if key == "minLength" else list) and (
+                    size > value if key == "maxItems" else size < value):
+                return f"{x!r} " + ("is too long" if key == "maxItems" else
+                                    "should be non-empty" if value == 1 else "is too short"), ()
+        elif key == "required":
+            for k in value if t is dict else ():
+                if k not in x:
+                    return f"{k!r} is a required property", ()
+        elif key == "additionalProperties" and value is False:
+            extras = sorted(x.keys() - schema.get("properties", {}), key=str) if t is dict else ()
+            if extras:
+                return (f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+                        f"{'was' if len(extras) == 1 else 'were'} unexpected)", ())
         elif key == "items":
             offenders = () if t is not list else _offenders(value, x)
-            ok = all(_valid(x[k], value)
-                     for k in (range(size) if offenders is None else offenders))
-        elif key == "required":
-            ok = t is not dict or all(k in x for k in value)
+            children = ((k, value) for k in (range(size) if offenders is None else offenders))
         elif key == "properties":
-            ok = t is not dict or all(_valid(x[k], s) for k, s in value.items() if k in x)
-        elif key == "additionalProperties":
-            extras = x.keys() - schema.get("properties", {}) if t is dict else ()
-            ok = all(_valid(x[k], value) for k in extras)
-        elif key == "$schema":
-            ok = True
-        else:
+            children = ((k, s) for k, s in value.items() if k in x) if t is dict else ()
+        elif key != "$schema":
             raise KeyError(f"schema keyword {key!r} is not checked here")
-        if not ok:
-            return False
-    return True
+        for k, s in children:
+            error = _error(x[k], s)
+            if error is not None:
+                return error[0], (k, *error[1])
+    return None
 
 
 def _rule_error(config: dict):
@@ -332,74 +351,16 @@ def _rule_error(config: dict):
     return None
 
 
-def _accepts(config) -> bool:
-    """Whether validate_scenario accepts `config`, decided without jsonschema."""
-    try:
-        if not _valid(config, SCENARIO_SCHEMA):
-            return False
-        kind, params = config["kind"], config.get("parameters", {})
-        return _valid(params, _PARAMETER_SCHEMAS[kind]) and _rule_error(config) is None
-    except _Unsure:
-        return False
-
-
-# -- rejection: explained by jsonschema ---------------------------------------------
-
-@functools.cache
-def _validator_class():
-    """Draft 2020-12 with a one-pass `items`; jsonschema is imported here."""
-    import jsonschema
-
-    draft_items = jsonschema.Draft202012Validator.VALIDATORS["items"]
-
-    def items(validator, items, instance, schema):
-        # hands jsonschema only the elements that `_offenders` names, in order
-        # and with their index as path, as its own keyword does; so errors
-        # are the same
-        offenders = None
-        if type(instance) is list and "prefixItems" not in schema:
-            offenders = _offenders(items, instance)
-        if offenders is None:
-            yield from draft_items(validator, items, instance, schema)
-            return
-        for k in offenders:
-            yield from validator.descend(instance[k], items, path=k)
-
-    return jsonschema.validators.extend(jsonschema.Draft202012Validator,
-                                        {"items": items})
-
-
-@functools.cache
-def _validator(kind: str | None = None):
-    """Validator of the top level (kind None) or of a kind's parameters;
-    the schemas are checked against the meta-schema by the tests."""
-    return _validator_class()(SCENARIO_SCHEMA if kind is None
-                              else _PARAMETER_SCHEMAS[kind])
-
-
 def validate_scenario(config: dict) -> None:
-    """Validate a scenario config; raises jsonschema.ValidationError.
-
-    A config is accepted without importing jsonschema when `_accepts` says
-    so; any other is walked by jsonschema, whose error is raised.
-    """
-    if _accepts(config):
-        return
-    import jsonschema
-
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
+    """Validate a scenario config; raises ConfigError naming the first value
+    refused: the top level first, then the kind's parameters, then the rules
+    a schema cannot state."""
+    error = _error(config, SCENARIO_SCHEMA)
+    if error is None:
+        params = _error(config.get("parameters", {}), _PARAMETER_SCHEMAS[config["kind"]])
+        error = (params[0], ("parameters", *params[1])) if params else _rule_error(config)
     if error is not None:
-        raise error
-    kind = config["kind"]
-    params = config.get("parameters", {})
-    errors = list(_validator(kind).iter_errors(params))
-    if errors:  # the first by str, which pretty-prints the instance: only if several
-        error = min(errors, key=str) if len(errors) > 1 else errors[0]
-        error.path.appendleft("parameters")
-        raise error
-    rule = _rule_error(config)
-    if rule is not None:
-        raise jsonschema.ValidationError(rule[0], path=rule[1])
+        raise ConfigError(*error)
 
 
 # -- builders ------------------------------------------------------------------
@@ -409,6 +370,8 @@ def _build_geometry(block: dict, convention: FrequencyConvention) -> ClockArray:
     factor = float(apply_convention(1.0, convention))
     if "lattice" in block:
         lat = block["lattice"]
+        # every runner builds the pair matrix: refuse its size before the lattice
+        _check_dense_size(math.prod(lat["counts"]))
         return build_lattice(lat["dimension"], lat["lattice_constant"],
                              lat["counts"], factor * lat["quoted_frequency"],
                              convention=convention)

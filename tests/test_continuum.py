@@ -228,9 +228,10 @@ class TestCenterSumFast:
             assert got == approx(lattice_sum_exact(arr, arr.center_index(), 1.0), rel=1e-15)
 
     def test_scaling_cli_exits_with_computation_error(self, tmp_path, capsys):
+        # L_c^-2 overflows: the sums are past the float range
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "scaling-sweep", "parameters": {
-            "dimension": 2, "mode": "pairwise", "case": "A-free",
+            "dimension": 2, "mode": "global", "case": "A-free",
             "lattice_constant": 1e-170}}), encoding="utf-8")
         code = main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_COMPUTATION
@@ -287,13 +288,41 @@ class TestContinuumSum:
             ContinuumEstimate(D=2, alpha=1.0, S_D=1.0, L_c=1.0, R=2.0, value=1.0)
 
     @pytest.mark.parametrize("args", [
-        (25, 2, 1e-170, 1.0),   # L_c^2 underflows to 0: a ZeroDivisionError
+        (25, 2, 1e-320, 1.0),   # L_c^-1 overflows
         (125, 3, 1e110, 1.0),   # L_c^3 overflows: an OverflowError
-        (125, 3, 1e-103, 2.0),  # L_c^3 is subnormal and its inverse inf
+        (125, 3, 1e-200, 2.0),  # L_c^-2 overflows
     ])
     def test_lattice_constant_whose_power_leaves_the_float_range(self, args):
         with pytest.raises(ValueError, match="out of the float range"):
             continuum_sum(*args)
+
+    @pytest.mark.parametrize("args", [
+        (25, 2, 1e-170, 1.0),   # L_c^2 underflows to 0
+        (125, 3, 1e-103, 2.0),  # L_c^3 is subnormal: the estimate is about 5.03e207
+        (125, 3, 3e-103, 2.0),  # L_c^3 is normal, but 4*pi / L_c^3 overflows
+    ])
+    def test_lattice_constant_whose_power_leaves_the_range_is_factored_out(self, args):
+        # S_D L_c^-alpha times the integral over [1, N^(1/D)] in lattice constants:
+        # these estimates were refused though representable
+        N, D, L_c, alpha = args
+        est = continuum_sum(*args)
+        unit = continuum_sum(N, D, 1.0, alpha).value
+        assert est.value == approx(unit * L_c ** -alpha, rel=1e-15)
+
+    def test_ordinary_lattice_constant_keeps_the_direct_form(self):
+        # factoring L_c out everywhere would move the last bit here
+        assert continuum_sum(125, 3, 1e-6, 2.0).value == 50265482457436.68
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_sweep_at_a_lattice_constant_whose_power_underflows(self, D):
+        # the pairwise A-free sums scale as 1/L_c: 2-D and 3-D were refused at 1e-170
+        tiny = scaling_rate_sweep(D, "pairwise", "A-free", 1e15, L_c=1e-170, sides=[3, 5, 7, 31])
+        unit = scaling_rate_sweep(D, "pairwise", "A-free", 1e15, L_c=1.0, sides=[3, 5, 7, 31])
+        for a, b in zip(tiny, unit):
+            assert a.N == b.N
+            assert a.exact_sum == approx(b.exact_sum * 1e170, rel=1e-15)
+            assert a.continuum_estimate == approx(b.continuum_estimate * 1e170, rel=1e-15)
+            assert a.ratio == approx(b.ratio, rel=1e-15)
 
 
 class TestCompareSumVsIntegral:

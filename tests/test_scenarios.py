@@ -1,7 +1,8 @@
 """Scenario plumbing: the artifact writer and schema validation.
 
 Artifacts must equal json.dumps(sort_keys=True, indent=2) byte for byte, and
-validation must raise the error jsonschema itself would raise.
+validation must decide as jsonschema does, refusing with a message and path
+that jsonschema also reports; jsonschema is the oracle here only.
 """
 
 import json
@@ -12,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ccgclocks import __version__, scenarios
+from ccgclocks import __version__, cli, scenarios
 from ccgclocks.scenarios import (
     SCENARIO_SCHEMA,
     _PARAMETER_SCHEMAS,
+    ConfigError,
     run_scenario,
     validate_scenario,
 )
@@ -333,14 +335,24 @@ def test_schemas_are_valid_draft_2020_12(schema):
     jsonschema.Draft202012Validator.check_schema(schema)
 
 
+def reference_errors(instance, schema, prefix=()):
+    """(path, message) of every error jsonschema reports, oneOf contexts included."""
+    def walk(errors):
+        for error in errors:
+            yield (*prefix, *error.absolute_path), error.message
+            yield from walk(error.context)
+
+    return set(walk(jsonschema.Draft202012Validator(schema).iter_errors(instance)))
+
+
 def assert_same_parameter_error(config):
-    validator = jsonschema.Draft202012Validator(_PARAMETER_SCHEMAS[config["kind"]])
-    reference = sorted(validator.iter_errors(config["parameters"]), key=str)[0]
-    with pytest.raises(jsonschema.ValidationError) as info:
+    """The refusal's message and path are one of jsonschema's errors."""
+    with pytest.raises(ConfigError) as info:
         validate_scenario(config)
-    assert info.value.message == reference.message
-    assert list(info.value.path) == ["parameters", *reference.path]
-    return reference
+    got = info.value
+    assert (got.path, got.message) in reference_errors(
+        config["parameters"], _PARAMETER_SCHEMAS[config["kind"]], ("parameters",))
+    return got
 
 
 @pytest.mark.parametrize("bad", ["1e-40", True, None, [1.0], {"x": 1}])
@@ -353,8 +365,8 @@ def test_bad_gamma_entry_error_matches_jsonschema(bad):
     config = {"kind": "rates",
               "parameters": {"geometry": {"clocks": clocks}, "mode": "pairwise",
                              "case": "given-rates", "gamma": {"pairwise": gamma}}}
-    reference = assert_same_parameter_error(config)
-    assert list(reference.path) == ["gamma", "pairwise", 17, 23]
+    got = assert_same_parameter_error(config)
+    assert got.path == ("parameters", "gamma", "pairwise", 17, 23)
 
 
 @pytest.mark.parametrize("bad", ["0.0", False, None])
@@ -363,8 +375,8 @@ def test_bad_position_error_matches_jsonschema(bad):
               "parameters": {"geometry": {"clocks": [_clock(0.0), _clock(3e-7)]},
                              "mode": "pairwise", "case": "A-free"}}
     config["parameters"]["geometry"]["clocks"][1]["position"][2] = bad
-    reference = assert_same_parameter_error(config)
-    assert list(reference.path) == ["geometry", "clocks", 1, "position", 2]
+    got = assert_same_parameter_error(config)
+    assert got.path == ("parameters", "geometry", "clocks", 1, "position", 2)
 
 
 def _crystal(positions):
@@ -396,17 +408,23 @@ def test_bad_crystal_position_error_matches_jsonschema(row, cell):
         rows[6543][1] = rows[9000][2] = cell
     else:
         rows[6543] = rows[9000] = row
-    config = _crystal(rows)
-    validator = jsonschema.Draft202012Validator(_PARAMETER_SCHEMAS["redshift"])
-    reference = sorted(validator.iter_errors(config["parameters"]), key=str)[0]
-    with pytest.raises(jsonschema.ValidationError) as info:
-        validate_scenario(config)
-    got = info.value
-    assert list(got.path) == ["parameters", *reference.path]
-    # the body's oneOf error carries each branch's errors as its context
-    assert got.message == reference.message
-    assert sorted((list(e.path), e.message) for e in got.context) == \
-        sorted((list(e.path), e.message) for e in reference.context)
+    # the body's oneOf refuses every branch: the crystal branch's error lies
+    # deepest, at the first bad row, where jsonschema reports it in the context
+    got = assert_same_parameter_error(_crystal(rows))
+    assert got.path == ("parameters", "body", "positions", 6543,
+                        *([] if row is not None else [1]))
+
+
+def test_one_bad_cell_of_a_large_crystal_is_named_in_one_short_line(tmp_path, capsys):
+    rows = [list(r) for r in _CRYSTAL_ROWS]
+    rows[5000][1] = "0.0"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_crystal(rows)), encoding="utf-8")
+    assert cli.main(["redshift", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: invalid config at parameters/body/positions/5000/1: "
+                   "'0.0' is not of type 'number'\n")
+    assert len(err) < 200
 
 
 _numbers = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False))
@@ -418,15 +436,16 @@ _cells = st.one_of(_numbers, st.booleans(), st.none(), st.text(max_size=2),
 @given(st.one_of(st.lists(st.lists(_numbers, max_size=5), max_size=6),
                  st.lists(st.one_of(st.lists(_cells, max_size=5), _cells), max_size=6)),
        st.sampled_from([{}, {"minItems": 2}, {"maxItems": 3},
-                        {"minItems": 3, "maxItems": 3}, {"uniqueItems": True}]),
+                        {"minItems": 3, "maxItems": 3}, {"minLength": 1}]),
        st.sampled_from(["number", "integer"]))
 def test_row_items_match_jsonschema(rows, bounds, cell_type):
-    # only number rows with length bounds take the one-pass path
+    # only number rows with length bounds take the one-pass path; the first
+    # error is jsonschema's first, message and path
     schema = {"type": "array",
               "items": {"type": "array", "items": {"type": cell_type}, **bounds}}
-    got = sorted(map(str, scenarios._validator_class()(schema).iter_errors(rows)))
-    want = sorted(map(str, jsonschema.Draft202012Validator(schema).iter_errors(rows)))
-    assert got == want
+    first = next(jsonschema.Draft202012Validator(schema).iter_errors(rows), None)
+    assert scenarios._error(rows, schema) == (
+        None if first is None else (first.message, tuple(first.path)))
 
 
 @pytest.mark.parametrize("items, good, bad", [
@@ -437,19 +456,20 @@ def test_row_items_match_jsonschema(rows, bounds, cell_type):
 def test_bad_number_list_checks_only_its_offenders(monkeypatch, items, good, bad):
     instance = [good] * 1000
     instance[500] = instance[900] = bad
-    validator_class = scenarios._validator_class()
-    descend, seen = validator_class.descend, []
-
-    def spy(self, *args, **kwargs):
-        seen.append(kwargs.get("path"))
-        return descend(self, *args, **kwargs)
-
-    monkeypatch.setattr(validator_class, "descend", spy)
     schema = {"type": "array", "items": items}
-    got = [str(e) for e in validator_class(schema).iter_errors(instance)]
-    assert seen == [500, 900]
-    assert got == [str(e) for e in
-                   jsonschema.Draft202012Validator(schema).iter_errors(instance)]
+    first = next(jsonschema.Draft202012Validator(schema).iter_errors(instance))
+    assert scenarios._error(instance, schema) == (first.message, (500,))
+    error, seen = scenarios._error, []
+
+    def spy(x, sub):  # an element is recorded and let pass, so the walk goes on
+        if sub is items:
+            seen.append(x)
+            return None
+        return error(x, sub)
+
+    monkeypatch.setattr(scenarios, "_error", spy)
+    assert error(instance, schema) is None
+    assert seen == [bad, bad]
 
 
 @pytest.mark.parametrize("config", [
@@ -463,13 +483,13 @@ def test_bad_number_list_checks_only_its_offenders(monkeypatch, items, good, bad
 def test_top_level_error_matches_jsonschema_validate(config):
     with pytest.raises(jsonschema.ValidationError) as expected:
         jsonschema.validate(config, SCENARIO_SCHEMA)
-    with pytest.raises(jsonschema.ValidationError) as got:
+    with pytest.raises(ConfigError) as got:
         validate_scenario(config)
-    assert str(got.value) == str(expected.value)
-    assert list(got.value.path) == list(expected.value.path)
+    assert got.value.message == expected.value.message
+    assert got.value.path == tuple(expected.value.path)
 
 
-# -- acceptance without jsonschema ---------------------------------------------------
+# -- acceptance, decided as jsonschema decides ------------------------------------------
 
 def reference_accepts(config) -> bool:
     """Draft 2020-12 on the top level and the kind's parameters, then the
@@ -567,22 +587,33 @@ def mutated_configs(draw):
 @settings(max_examples=1500, deadline=None)
 @given(mutated_configs())
 def test_checker_decides_as_jsonschema(config):
-    want = reference_accepts(config)
-    accepted = scenarios._accepts(config)
-    # a config the checker cannot read exactly is left to jsonschema
-    assert accepted == want if is_plain(config) else not accepted
+    plain = is_plain(config)
     try:
         validate_scenario(config)
-    except jsonschema.ValidationError:
-        assert not want
+    except ConfigError as exc:
+        # a value json.loads never returns is refused, whatever jsonschema says
+        assert not (plain and reference_accepts(config))
+        error = exc
     else:
-        assert want
+        assert plain and reference_accepts(config)
+        return
+    if not plain:
+        return
+    errors = reference_errors(config, SCENARIO_SCHEMA)
+    if not errors and type(config.get("parameters", {})) is dict:
+        errors = reference_errors(config.get("parameters", {}),
+                                  _PARAMETER_SCHEMAS[config["kind"]], ("parameters",))
+    if errors:  # else a rule the schemas cannot state refused it
+        assert error.path in {path for path, _ in errors}
+        # jsonschema repeats a value valid under several oneOf branches; the checker does not
+        assert (error.path, error.message) in errors or \
+            error.message.startswith("is valid under each of")
 
 
 @pytest.mark.parametrize("config", VALID, ids=lambda c: c["kind"] + "-" + json.dumps(c)[-12:])
 def test_valid_configs_are_accepted_without_jsonschema(config):
     assert reference_accepts(config)
-    assert scenarios._accepts(config)
+    validate_scenario(config)
 
 
 def _keywords(schema):
@@ -600,6 +631,36 @@ def _keywords(schema):
 @pytest.mark.parametrize("schema", [SCENARIO_SCHEMA, *_PARAMETER_SCHEMAS.values()])
 def test_checker_knows_every_schema_keyword(schema):
     for key, value in _keywords(schema):
-        scenarios._valid(None, {key: value})  # an unknown keyword raises KeyError
+        scenarios._error(None, {key: value})  # an unknown keyword raises KeyError
     with pytest.raises(KeyError, match="uniqueItems"):
-        scenarios._valid(None, {"uniqueItems": True})
+        scenarios._error(None, {"uniqueItems": True})
+
+
+# -- sizes refused before allocation -----------------------------------------------
+
+@pytest.mark.parametrize("kind", ["rates", "optimize"])
+def test_lattice_past_the_dense_limit_is_refused_before_it_is_built(
+        kind, tmp_path, monkeypatch, capsys):
+    from ccgclocks import geometry
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("build_lattice ran")
+
+    monkeypatch.setattr(scenarios, "build_lattice", unbuilt)
+    counts = [17, 241, 1]  # one clock past the limit
+    assert math.prod(counts) == geometry._PAIR_MATRIX_LIMIT + 1
+    lattice = dict(_LATTICE, counts=counts)
+    config = {"kind": kind, "parameters": {"geometry": {"lattice": lattice},
+                                           "mode": "pairwise", "case": "A-free"}}
+    if kind == "optimize":
+        del config["parameters"]["case"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "pair rate matrix for N=4097 clocks exceeds the dense limit (4096)" in err
+    # the one message, as the pair kernel gives it for an array already built
+    clocks = geometry.ClockArray(np.ones(4097), np.arange(3 * 4097.0).reshape(-1, 3))
+    with pytest.raises(ValueError) as info:
+        geometry.pair_rate_matrix(clocks)
+    assert str(info.value) in err
