@@ -11,7 +11,6 @@ convention produced them.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,16 +45,6 @@ class PhysicalConstants:
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.G, self.hbar, self.c)):
             raise ValueError("physical constants must be strictly positive")
-
-    def to_json(self) -> str:
-        # repr round-trips doubles bit-exactly
-        return json.dumps({"G": self.G, "hbar": self.hbar, "c": self.c},
-                          sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PhysicalConstants":
-        d = json.loads(text)
-        return cls(G=d["G"], hbar=d["hbar"], c=d["c"])
 
 
 CONSTANTS = PhysicalConstants(G=6.67430e-11, hbar=1.054571817e-34, c=2.99792458e8)

@@ -336,7 +336,8 @@ def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,
                        L_c: float = 1.0, sides=None) -> list[SweepPoint]:
     """Center-clock minimum dephasing rate versus N for one channel/case.
 
-    Sides must be odd so a true center clock exists.
+    Sides must be odd so a true center clock exists. A rate below the
+    smallest normal float is refused, as a centre sum there is refused.
     """
     if (mode, case) not in _CENTER_RATES:
         raise ValueError(f"unsupported mode/case combination ({mode}, {case})")
@@ -354,6 +355,9 @@ def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,
     for side, s in zip(sides, _center_sums(D, sides, alpha, L_c)):
         n = side ** D
         est = continuum_sum(n, D, L_c, alpha).value
+        rate = prefactor * center_rate(s, n)
+        if not rate >= _TINY:
+            raise ValueError(f"dephasing rate at N={n}, L_c={L_c!r} leaves the normal float range")
         points.append(SweepPoint(N=n, exact_sum=s, continuum_estimate=est,
-                                 ratio=s / est, rate=prefactor * center_rate(s, n)))
+                                 ratio=s / est, rate=rate))
     return points

@@ -12,7 +12,6 @@ approximation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,7 +168,7 @@ class ClockArray:
         """Index of the clock nearest the centroid (ties break to lowest index)."""
         return int(np.argmin(_distances(self._positions, self._positions.mean(axis=0))))
 
-    # -- JSON import/export ------------------------------------------------
+    # -- JSON export -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         clocks = []
@@ -187,29 +186,6 @@ class ClockArray:
                 "counts": list(self.lattice.counts),
             }
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ClockArray":
-        clocks = data["clocks"]
-        lattice = None
-        if "lattice" in data:
-            lat = data["lattice"]
-            lattice = LatticeInfo(lat["dimension"], lat["lattice_constant"],
-                                  tuple(lat["counts"]))
-        return cls(
-            omegas=[c["omega"] for c in clocks],
-            positions=[c["position"] for c in clocks],
-            rest_masses=[c.get("rest_mass") for c in clocks],
-            lattice=lattice,
-            convention=data.get("convention", DEFAULT_CONVENTION),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClockArray":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

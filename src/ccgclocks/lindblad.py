@@ -30,7 +30,6 @@ generator off the master equation's commutators, not off Lambda.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -168,9 +167,6 @@ class DensityMatrix:
             "real": self._m.real.tolist(),
             "imag": self._m.imag.tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
 def _z_table(n: int) -> np.ndarray:

@@ -20,7 +20,6 @@ at the cost of instantly dephasing the rest, so the objective is the sum.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -140,9 +139,6 @@ class DephasingReport:
 
     def to_json_dict(self) -> dict:
         return _as_lists(self._json_fields())
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
     def csv_rows(self) -> list[list]:
         rows = [["clock_index", "rate_hz", "mode", "case", "convention", "formula_id"]]

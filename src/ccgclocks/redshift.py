@@ -22,7 +22,6 @@ it); experiment-derived bounds on the rates replace it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -130,9 +129,6 @@ class RedshiftDephasing:
     def to_json_dict(self) -> dict:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v
                 for k, v in self._json_fields().items()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
 def redshift_coupling(mass: float, distance: float | np.ndarray, omega) -> float | np.ndarray:

@@ -21,15 +21,14 @@ A JSON artifact is strict JSON: it equals
 json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n" byte
 for byte, where each float array in the payload stands for its nested list,
 and a NaN or infinity raises ValueError. The runners hand rate vectors and
-matrices to the writer as float64 arrays, and the writer formats each
-distinct bit pattern once. That gives the same bytes, because json spells a
-float by its shortest round-trip repr, a function of the float's bits alone.
-Rate matrices repeat few values (lattice distances, a B-fixed scalar, the
-two halves of a symmetric matrix), so a large one costs about one repr per
-distinct value. A JSON artifact is formatted as it is written, in chunks of
-bounded size, so no artifact is held whole in memory; a run's files are
-written all or nothing, so a refusal partway through a file, or in the second
-of two conventions, removes every file of the run.
+matrices to the writer as float64 arrays, and the writer spells each
+distinct bit pattern once, a large array's by a vectorized kernel whose every
+string is repr's. That gives the same bytes, because json spells a float by
+its shortest round-trip repr, a function of the float's bits alone. A JSON
+artifact is formatted as it is written, in chunks of bounded size, so no
+artifact is held whole in memory; a run's files are written all or nothing,
+so a refusal partway through a file, or in the second of two conventions,
+removes every file of the run.
 """
 
 from __future__ import annotations
@@ -274,7 +273,8 @@ def _error(x, schema):
     built only on the way back from a refusal.
 
     A `oneOf` that no branch accepts gives the error of the branch whose
-    error lies deepest, the first on a tie. A value of a type json.loads
+    error lies deepest; on a tie, of the branch whose `kind` const is x's
+    kind, else of the first. A value of a type json.loads
     never returns (a tuple, a numpy scalar) is refused as not a JSON value.
     """
     t = type(x)
@@ -297,7 +297,9 @@ def _error(x, schema):
             errors = [_error(x, branch) for branch in value]
             valid = [branch for branch, error in zip(value, errors) if error is None]
             if not valid:
-                return max(errors, key=lambda error: len(error[1]))
+                named = {"const": x.get("kind")} if t is dict else None
+                return max(zip(errors, value), key=lambda pair: (
+                    len(pair[0][1]), pair[1].get("properties", {}).get("kind") == named))[0]
             if len(valid) > 1:  # the value itself is not repeated: it may be large
                 return f"is valid under each of {', '.join(map(repr, valid))}", ()
         elif key in ("minimum", "exclusiveMinimum"):  # NaN passes both
@@ -423,21 +425,144 @@ _dumps = json.JSONEncoder(allow_nan=False).encode
 # an array of fewer cells is written as its list: the C encoder formats so
 # few floats faster than a sort finds the distinct ones
 _UNIQUE_MIN_CELLS = 64
-# a large array is written in blocks of about this many cells, and an
-# artifact is written in chunks of about this many characters
+# a large array is written in blocks of about this many cells (its distinct
+# values are spelled in blocks of as many), and an artifact is written in
+# chunks of about this many characters
 _BLOCK_CELLS = 2**11
 _CHUNK_CHARS = 2**16
+# a block of fewer distinct values is spelled by the C encoder, which is then
+# the faster of the two
+_SPELL_MIN_VALUES = 256
+
+# the UCS-4 codes of "00" to "99", a pair to a uint64, then the same with the
+# second digit and with both digits NUL, for a digit string's last pair
+_PAIRS = np.array([[48 + v // 10, 48 + v % 10][:2 - nul] + [0] * nul
+                   for nul in range(3) for v in range(100)],
+                  dtype=np.uint32).view(np.uint64).ravel()
+
+
+def _encoded(values: np.ndarray) -> list:
+    """json's spelling of each float64 of `values`, by one C-encoder call."""
+    return _dumps(values.tolist())[1:-1].split(", ")
+
+
+def _scaled(x: np.ndarray, k: np.ndarray):
+    """x·10**k as a double-double (hi, lo), exact to about 2**-104 relative,
+    and 10**k rounded. 10**k is split into a rounded part and its rounded
+    remainder, from exact integers, for each k in range; the product is
+    Dekker's, with Veltkamp's splits (Numer. Math. 18, 1971)."""
+    low, powers = int(k.min()), []
+    for j in range(low, int(k.max()) + 1):
+        num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
+        p, q = (num / den).as_integer_ratio()  # int division rounds correctly
+        powers.append((p / q, (num * q - p * den) / (den * q)))
+    ten, ten_lo = np.array(powers)[k - low].T
+
+    def split(a):
+        c = 134217729.0 * a  # 2**27 + 1
+        hi = c - (c - a)
+        return hi, a - hi
+
+    (xh, xl), (th, tl) = split(x), split(ten)
+    p = x * ten
+    err = ((xh * th - p) + xh * tl + xl * th) + xl * tl + x * ten_lo
+    hi = p + err
+    return hi, err - (hi - p), ten
+
+
+def _spell(values: np.ndarray) -> list:
+    """json's spelling of each float64 of `values`: its shortest round-trip
+    repr, as Python's correctly rounded dtoa writes it (Gay, 1990).
+
+    y = |x|·10**(16-e), with e = floor(log10|x|), is formed exactly enough in
+    double-double arithmetic to decide, for 17, 16 and 15 digits, the nearest
+    decimal and whether it lies within the half gap (spacing(x)/2)·10**(16-e)
+    about y; the fewest digits that do are repr's. A value whose decision lies
+    within 1e-9 of a boundary, a power of two (whose gap is asymmetric), a
+    value outside [1e-280, 1e280] (NaN, infinities and zeros too), one whose y
+    is within a few units of 1e16 or 1e17, a decimal of at most 14 digits and
+    an integer below 1e16 are spelled by `_encoded` instead, which also
+    raises json's ValueError for a NaN or an infinity. Values sorted by bit
+    pattern run fastest: one copy per run of one sign and layout.
+    """
+    size, bits = len(values), values.view(np.int64)
+    ax = np.abs(values)
+    fast = (ax >= 1e-280) & (ax <= 1e280)
+    ax[~fast] = 1.5
+    fast &= (bits & (2**52 - 1)) != 0
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    yh, yl, ten = _scaled(ax, 16 - e)
+    off = np.flatnonzero((yh < 1e16) | (yh >= 1e17))  # log10 rounded across a power
+    if off.size:
+        e[off] += np.where(yh[off] < 1e16, -1, 1)
+        yh[off], yl[off], ten[off] = _scaled(ax[off], 16 - e[off])
+    fast &= (yh > 1e16 + 4) & (yh < 1e17 - 256)
+    whole = np.floor(yl)
+    y_int, frac = yh.astype(np.int64) + whole.astype(np.int64), yl - whole
+    half_gap = np.spacing(ax) * 0.5 * ten
+    # 17 digits always round-trip: y >= 1e16 puts the half gap above 0.55
+    digits, zeros = y_int + (frac > 0.5), np.zeros(size, dtype=np.int64)
+    fast &= np.abs(frac - 0.5) > 1e-9
+    for z, s in ((1, 10), (2, 100)):  # 16 and 15 digits
+        rem = y_int % s
+        t = rem + frac
+        up = t > s / 2
+        dist = np.abs(t - s * up)
+        fast &= (np.abs(t - s / 2) > 1e-9) & (np.abs(dist - half_gap) > 1e-9)
+        inside = dist < half_gap
+        digits = np.where(inside, y_int - rem + s * up, digits)
+        zeros[inside] = z
+    fast &= (digits % 1000 != 0) & ((e >= 16) | (e + zeros < 16))
+    digits[~fast] = 10**16
+    codes = np.empty((size, 9), dtype=np.uint64)
+    rest = digits // 100
+    codes[:, 8] = _PAIRS[zeros * 100 + digits - rest * 100]
+    for j in range(7, -1, -1):
+        digits, rest = rest, rest // 100
+        codes[:, j] = _PAIRS[digits - rest * 100]
+    chars = codes.view(np.uint32)[:, 1:]  # 17 digits, the trailing zeros NUL
+    neg, sci = bits < 0, (e < -4) | (e >= 16)
+    key = np.where(sci, 99, e) * 2 + neg
+    starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), size]
+    text = np.zeros((size, 24), dtype=np.uint32)
+    for lo, hi in zip(starts, starts[1:]):
+        ex, sign = divmod(int(key[lo]), 2)
+        if sign:
+            text[lo:hi, 0] = ord("-")
+        row = text[lo:hi, sign:]
+        if ex < 0:  # 0.000ddd
+            row[:, :1 - ex] = ord("0")
+            row[:, 1] = ord(".")
+            row[:, 1 - ex:18 - ex] = chars[lo:hi]
+        else:  # d.ddd before an exponent, or ddd.ddd
+            point = 1 if ex == 99 else ex + 1
+            row[:, :point] = chars[lo:hi, :point]
+            row[:, point] = ord(".")
+            row[:, point + 1:18] = chars[lo:hi, point:]
+    rows = np.flatnonzero(sci)
+    if rows.size:  # the exponent, after the last digit
+        low = int(e[rows].min())
+        exponents = np.array([[ord(c) for c in f"e{k:+03d}".ljust(5, "\0")]
+                              for k in range(low, int(e[rows].max()) + 1)], dtype=np.uint32)
+        at = rows * 24 + neg[rows] + 18 - zeros[rows]
+        text.ravel()[at[:, None] + np.arange(5)] = exponents[e[rows] - low]
+    spelled = text.view("U24").ravel().tolist()
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        for i, word in zip(slow.tolist(), _encoded(values[slow])):
+            spelled[i] = word
+    return spelled
 
 
 def _array_pieces(a: np.ndarray, newline: str):
     """Pieces of a 1-D or 2-D float64 array written as its nested list.
 
     json spells a float by its shortest round-trip repr, a function of its
-    bits alone, so each distinct bit pattern is formatted once, by one
-    C-encoder call; comparing bits keeps -0.0 apart from 0.0. Cells are
-    gathered from those strings by a binary search of their bit patterns, a
-    block of about `_BLOCK_CELLS` cells at a time, so no index or string array
-    of the whole array is kept.
+    bits alone, so each distinct bit pattern is spelled once, by `_spell` a
+    block of `_BLOCK_CELLS` at a time; comparing bits keeps -0.0 apart from
+    0.0. Cells are gathered from those strings by a binary search of their bit
+    patterns, a block of about `_BLOCK_CELLS` cells at a time, so no index or
+    string array of the whole array is kept.
     """
     if a.size < _UNIQUE_MIN_CELLS:
         yield from _json_pieces(a.tolist(), newline)
@@ -449,8 +574,11 @@ def _array_pieces(a: np.ndarray, newline: str):
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     distinct = ordered[new]
     del ordered, new
-    spelled = np.array(_dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
-                       dtype=object)
+    spelled = np.empty(len(distinct), dtype=object)
+    for start in range(0, len(distinct), _BLOCK_CELLS):
+        block = distinct[start:start + _BLOCK_CELLS].view(np.float64)
+        spelled[start:start + len(block)] = (
+            _spell(block) if len(block) >= _SPELL_MIN_VALUES else _encoded(block))
 
     def cells(block_bits):
         # as lists: str.join reads a list faster than an object array

@@ -324,6 +324,16 @@ class TestContinuumSum:
             assert a.continuum_estimate == approx(b.continuum_estimate * 1e170, rel=1e-15)
             assert a.ratio == approx(b.ratio, rel=1e-15)
 
+    @pytest.mark.parametrize("D, mode, case, omega, L_c", [
+        (1, "pairwise", "A-free", 1e15, 1e300),  # exact sums near 3e-300, rates 0.0
+        (2, "global", "B-fixed", 1e-130, 1.0),  # a prefactor below the normal range
+        (1, "pairwise", "B-fixed", 0.0, 1.0),  # a zero frequency: rates of 0.0
+    ])
+    def test_sweep_refuses_a_rate_below_the_normal_range(self, D, mode, case, omega, L_c):
+        # a library caller got these zeros; only the CLI's fit refused them
+        with pytest.raises(ValueError, match="rate at N=.* leaves the normal float range"):
+            scaling_rate_sweep(D, mode, case, omega, L_c=L_c)
+
 
 class TestCompareSumVsIntegral:
     def test_1d_alpha1_large_n(self):

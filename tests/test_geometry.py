@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -311,22 +310,6 @@ def test_matrix_scaling_laws():
     assert np.allclose(g_freq, 4.0 * g0, rtol=1e-12)
 
 
-def test_json_round_trip():
-    arr = build_lattice(2, 1e-6, [2, 3], W15)
-    again = ClockArray.from_json(arr.to_json())
-    assert np.array_equal(again.positions, arr.positions)
-    assert np.array_equal(again.omegas, arr.omegas)
-    assert again.lattice == arr.lattice
-    assert again.convention == arr.convention
-
-
-def test_json_round_trip_with_masses():
-    clocks = [ClockSpec(W15, (0, 0, 0), 1.8e-25), ClockSpec(W15, (1e-6, 0, 0), 1.8e-25)]
-    arr = ClockArray.from_clocks(clocks)
-    again = ClockArray.from_json(arr.to_json())
-    assert np.array_equal(again.rest_masses, arr.rest_masses)
-
-
 def test_clock_spec_validation():
     with pytest.raises(ValueError):
         ClockSpec(W15, (0, 0))
@@ -360,7 +343,7 @@ def clock_columns(draw):
 
 
 def _every_path(quoted, positions, masses, convention):
-    """The same clocks built by each of the four paths."""
+    """The same clocks built by each of the three paths."""
     from ccgclocks.scenarios import _build_geometry
 
     per_clock = masses if masses is not None else [None] * len(quoted)
@@ -368,16 +351,11 @@ def _every_path(quoted, positions, masses, convention):
     config = [dict({"quoted_frequency": f, "position": p},
                    **({} if m is None else {"rest_mass": m}))
               for f, p, m in zip(quoted, positions, per_clock)]
-    as_json = {"clocks": [dict({"omega": w, "position": p},
-                               **({} if m is None else {"rest_mass": m}))
-                          for w, p, m in zip(omegas, positions, per_clock)],
-               "convention": convention}
     return {
         "init": lambda: ClockArray(omegas, positions, masses, convention=convention),
         "from_clocks": lambda: ClockArray.from_clocks(
             [ClockSpec(w, p, m) for w, p, m in zip(omegas, positions, per_clock)],
             convention=convention),
-        "from_json": lambda: ClockArray.from_json(json.dumps(as_json)),
         "scenario": lambda: _build_geometry({"clocks": config},
                                             FrequencyConvention.parse(convention)),
     }
@@ -387,7 +365,6 @@ def _every_path(quoted, positions, masses, convention):
 @given(clock_columns(), st.sampled_from(_CONVENTIONS))
 def test_every_construction_path_gives_the_same_array(columns, convention):
     arrays = {name: build() for name, build in _every_path(*columns, convention).items()}
-    arrays["round_trip"] = ClockArray.from_json(arrays["init"].to_json())
     ref = arrays["init"]
     for name, arr in arrays.items():
         assert np.array_equal(arr.omegas, ref.omegas), name
@@ -418,13 +395,10 @@ def test_rest_masses_are_finite_positive_and_all_or_none():
     pos = [[0, 0, 0], [1e-6, 0, 0]]
     with pytest.raises(ValueError, match="finite and positive"):
         ClockArray([W15.value] * 2, pos, rest_masses=[-1.0, math.nan])
-    text = ClockArray([W15.value] * 2, pos, rest_masses=[1e-25, 1e-25]).to_json()
     with pytest.raises(ValueError, match="finite and positive"):
-        ClockArray.from_json(text.replace("1e-25", "-1e-25", 1))
-    partial = json.loads(text)
-    del partial["clocks"][0]["rest_mass"]
+        ClockArray([W15.value] * 2, pos, rest_masses=[-1e-25, 1e-25])
     with pytest.raises(ValueError, match="either all clocks carry a rest mass or none do"):
-        ClockArray.from_json(json.dumps(partial))
+        ClockArray([W15.value] * 2, pos, rest_masses=[None, 1e-25])
     assert ClockArray([W15.value] * 2, pos, rest_masses=[None, None]).rest_masses is None
 
 

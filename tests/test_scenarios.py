@@ -118,6 +118,8 @@ _CORNERS = np.array([[0.0, -0.0, 5e-324, 2.5e-310], [math.nan, math.inf, -math.i
 @example({"below": np.resize(_CORNERS, _CUTOFF - 1), "at": np.resize(_CORNERS, _CUTOFF),
           "square": np.resize(_CORNERS, (12, 12)), "row": np.resize(_CORNERS, (1, 100)),
           "column": np.resize(_CORNERS, (100, 1))})
+@example({"matrix": np.random.default_rng(300).standard_normal((300, 300))
+          * 10.0 ** np.random.default_rng(301).integers(-40, 40, (300, 300))})
 def test_writer_arrays_match_dumps_of_their_lists(value):
     assert_writes_like_dumps(value)
 
@@ -125,9 +127,11 @@ def test_writer_arrays_match_dumps_of_their_lists(value):
 @pytest.mark.parametrize("value", [
     math.nan, -math.inf, np.float64(math.inf), [1.0, math.nan], {"a": [0.5, math.inf, 2.0]},
     np.resize([1.0, math.nan], _CUTOFF - 1), np.resize([1.0, -math.inf], _CUTOFF),
-    np.resize([0.25, math.inf, 0.5], (8, 8)), {"rows": np.full((3, 40), math.nan)}])
+    np.resize([0.25, math.inf, 0.5], (8, 8)), {"rows": np.full((3, 40), math.nan)},
+    np.append(np.linspace(1.0, 2.0, 600), -math.inf)])
 def test_writer_refuses_non_finite_floats(value):
-    # scalars, short lists, and arrays on both sides of the small-array cutoff
+    # scalars, short lists, arrays on both sides of the small-array cutoff, and
+    # one with enough distinct values for the vectorized spelling
     with pytest.raises(ValueError, match="not JSON compliant"):
         written({"x": value})
 
@@ -217,6 +221,81 @@ def test_scenario_artifacts_match_indented_dumps(config, tmp_path, monkeypatch):
     paths = run_scenario(config, tmp_path)
     files = sorted(p.read_bytes() for p in paths if p.suffix == ".json")
     assert files and files == sorted(map(reference_bytes, payloads))
+
+
+# -- the vectorized spelling of a large array's distinct values ---------------------
+
+def assert_spells_like_repr(values):
+    """`_spell` gives repr of each value, in bit order and as drawn, or
+    refuses a NaN or infinity as the C encoder does."""
+    values = np.asarray(values, dtype=np.float64)
+    for order in (values, np.sort(values.view(np.int64)).view(np.float64)):
+        if np.isfinite(order).all():
+            assert scenarios._spell(order) == list(map(repr, order.tolist()))
+        else:
+            with pytest.raises(ValueError) as expected:
+                scenarios._dumps(order.tolist())
+            with pytest.raises(ValueError, match=f"^{expected.value}$"):
+                scenarios._spell(order)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_spell_matches_repr_on_raw_bit_patterns(patterns):
+    assert_spells_like_repr(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_spell_matches_repr_on_floats(values):
+    assert_spells_like_repr(values)
+
+
+def _edge_floats():
+    """Zeros, the ends of the float range, every power of two, 10**k and both
+    its neighbours, and short decimals d·10**k: the values whose spelling
+    sits on a boundary of the kernel or of repr's notation."""
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    edges += [2.0 ** k for k in range(-1074, 1024)]
+    for k in range(-323, 309):
+        ten = float(f"1e{k}")
+        edges += [ten, math.nextafter(ten, 0.0), math.nextafter(ten, math.inf)]
+    edges += [float(f"{d}e{k}") for d in (1, 2, 5, 12, 125, 999, 4503599627370497)
+              for k in range(-330, 310)]
+    return edges + [-x for x in edges]
+
+
+def test_spell_matches_repr_on_the_edges():
+    assert_spells_like_repr(_edge_floats())
+
+
+def test_spell_matches_repr_on_a_million_bit_patterns():
+    # in blocks sorted by bit pattern, as the writer hands them over
+    rng = np.random.default_rng(26)
+    patterns = rng.integers(-2**63, 2**63, size=2**20, dtype=np.int64)
+    values = np.sort(patterns[np.isfinite(patterns.view(np.float64))]).view(np.float64)
+    for start in range(0, len(values), scenarios._BLOCK_CELLS):
+        block = values[start:start + scenarios._BLOCK_CELLS]
+        assert scenarios._spell(block) == list(map(repr, block.tolist()))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -math.nan])
+def test_spell_refuses_non_finite_values_as_dumps_does(bad):
+    values = np.linspace(0.5, 2.0, 300)
+    values[150] = bad
+    assert_spells_like_repr(values)
+
+
+def test_spell_formats_ordinary_values_itself(monkeypatch):
+    # the C encoder gets only the values on a boundary and the decimals of at
+    # most 14 digits, about one in a hundred of these
+    handed = []
+    encoded = scenarios._encoded
+    monkeypatch.setattr(scenarios, "_encoded", lambda v: handed.extend(v) or encoded(v))
+    rng = np.random.default_rng(7)
+    values = np.sort(rng.standard_normal(2048) * 10.0 ** rng.integers(-30, 14, 2048))
+    assert scenarios._spell(values) == list(map(repr, values.tolist()))
+    assert len(handed) < 2048 // 50
 
 
 # values whose spellings differ in length, ±0.0 and subnormals among them
@@ -413,6 +492,16 @@ def test_bad_crystal_position_error_matches_jsonschema(row, cell):
     got = assert_same_parameter_error(_crystal(rows))
     assert got.path == ("parameters", "body", "positions", 6543,
                         *([] if row is not None else [1]))
+
+
+def test_crystal_body_without_positions_is_refused_for_its_missing_key():
+    # every body branch fails at the body itself; the crystal branch names the
+    # body's kind, so its error is the one reported
+    config = _crystal([[1.0, 0.0, 0.0]])
+    del config["parameters"]["body"]["positions"]
+    got = assert_same_parameter_error(config)
+    assert (got.path, got.message) == (("parameters", "body"),
+                                       "'positions' is a required property")
 
 
 def test_one_bad_cell_of_a_large_crystal_is_named_in_one_short_line(tmp_path, capsys):
