@@ -1,14 +1,15 @@
 """Lattice sums, their continuum integral approximation, and scaling fits.
 
-The distance sums sum_j d_ij^(-alpha) over a regular D-dimensional array of
-spacing L_c are approximated by
+The distance sum sum_j d_ij^(-alpha) from a clock of a regular D-dimensional
+array of spacing L_c is L_c^-alpha times the unit grid's, approximated by
 
-    (S_D / L_c^D) * integral_{L_c}^{R} r^(D-1-alpha) dr,   R = N^(1/D) L_c
+    S_D * integral_1^{N^(1/D)} r^(D-1-alpha) dr
 
 with S_D = 1, 2*pi, 4*pi for linear, planar and spherical geometry. In 1D the
-center clock sees two half-lines, each integrated to R/2. The integral only
-tracks the sum up to an order-one factor, which compare_sum_vs_integral
-quantifies; scaling exponents in N are what it predicts reliably.
+center clock sees two half-lines, each integrated to N/2. Both are computed in
+lattice units, times the one factor L_c^-alpha. The integral only tracks the
+sum up to an order-one factor, which compare_sum_vs_integral quantifies;
+scaling exponents in N are what it predicts reliably.
 
 Every exact sum goes through one accumulator, _exact_totals (Neal's small
 superaccumulator, arXiv:1505.05571). np.frexp splits each term into an
@@ -18,7 +19,7 @@ since a chunk of fewer than 2**26 terms keeps every partial sum an integer
 below 2**53. The bins join one Python int per group, and int true division
 rounds that exact total once, to nearest with ties to even: bit for bit what
 math.fsum returns. A scaling sweep feeds it one slab-wise pass over the
-orthant of its largest grid, which gives every side's centre sum at once.
+orthant of its largest unit grid, which gives every side's centre sum at once.
 """
 
 from __future__ import annotations
@@ -121,24 +122,29 @@ class ContinuumEstimate:
     value: float      # units m^(-alpha)
 
     def __post_init__(self):
-        if self.D not in (1, 2, 3):
-            raise ValueError("dimension must be 1, 2 or 3")
+        if self.D not in SOLID_ANGLE or self.S_D != SOLID_ANGLE[self.D]:
+            raise ValueError("dimension must be 1, 2 or 3, and S_D its solid angle")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.R < self.L_c:
-            raise ValueError("outer radius must not be below the lattice constant")
-        if self.S_D != SOLID_ANGLE[self.D]:
-            raise ValueError("S_D inconsistent with the dimension")
+        if not (0 < self.L_c <= self.R < math.inf and 0 <= self.value < math.inf):  # NaN fails
+            raise ValueError(f"need 0 < L_c <= R < inf and 0 <= value < inf, got L_c={self.L_c!r},"
+                             f" R={self.R!r}, value={self.value!r}")
 
 
-def _radial_integral(lower: float, upper: float, power: float) -> float:
-    # integral of r^power dr, exact at the logarithmic point power = -1
-    if upper <= lower:
+def _lattice_factor(L_c: float, alpha: float) -> float:
+    try:  # L_c^-alpha takes a unit-grid sum to spacing L_c; inf fails the range checks
+        return L_c ** -alpha
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _radial_integral(upper: float, power: float) -> float:
+    # integral of r^power dr over [1, upper], exact at the logarithmic point power = -1
+    if upper <= 1.0:
         return 0.0
     if power == -1.0:
-        return math.log(upper / lower)
-    p1 = power + 1.0
-    return (upper ** p1 - lower ** p1) / p1
+        return math.log(upper)
+    return (upper ** (power + 1.0) - 1.0) / (power + 1.0)
 
 
 def continuum_sum(N: int, D: int, L_c: float, alpha: float) -> ContinuumEstimate:
@@ -150,25 +156,13 @@ def continuum_sum(N: int, D: int, L_c: float, alpha: float) -> ContinuumEstimate
     if not (L_c > 0 and alpha > 0):
         raise ValueError("lattice constant and alpha must be positive")
     S_D = SOLID_ANGLE[D]
-    R = N ** (1.0 / D) * L_c
-    power = D - 1.0 - alpha
     # the outer radius in lattice constants; 1D has two half-lines of N/2 clocks
     weight, reach = (2.0 * S_D, N / 2.0) if D == 1 else (S_D, N ** (1.0 / D))
-    try:
-        cell = L_c ** D
-        value = weight / cell * _radial_integral(L_c, reach * L_c, power)
-    except (OverflowError, ZeroDivisionError):  # a power of L_c out of the float range
-        cell = value = math.inf
-    if L_c < 1.0 and not (math.isfinite(value) and cell >= _TINY):
-        # a power of L_c below the normal range: as in _center_sums, the unit
-        # grid's integral times L_c^-alpha
-        try:
-            value = weight * L_c ** -alpha * _radial_integral(1.0, reach, power)
-        except OverflowError:
-            value = math.inf
-    if not math.isfinite(value):
+    unit = weight * _radial_integral(reach, D - 1.0 - alpha)
+    value = unit * _lattice_factor(L_c, alpha)
+    if not (_TINY <= value < math.inf or value == unit == 0.0):  # NaN fails too
         raise ValueError(f"continuum estimate at L_c={L_c!r} is out of the float range")
-    return ContinuumEstimate(D=D, alpha=alpha, S_D=S_D, L_c=L_c, R=R, value=value)
+    return ContinuumEstimate(D, alpha, S_D, L_c, R=N ** (1.0 / D) * L_c, value=value)
 
 
 def compare_sum_vs_integral(array: ClockArray, alpha: float) -> float:
@@ -272,49 +266,42 @@ class SweepPoint:
 
 
 def _center_sums(D: int, sides, alpha: float, L_c: float) -> list[float]:
-    """Distance sums from the centre of odd-sided grids, one per side, in one pass.
+    """Distance sums from the centre of odd-sided grids of spacing L_c, one per
+    side, in one pass: the unit grid's sums times L_c^-alpha.
 
-    Only the orthant {0..half}^D of the largest grid is built, a slab of
+    Only the orthant {0..half}^D of the largest unit grid is built, a slab of
     leading indices at a time, a site with m nonzero coordinates weighted by
-    2^m: its mirror images have bit-identical squared distances and the weight
-    multiplies exactly. Each term goes to the smallest side whose half-width
-    reaches the site's Chebyshev radius, and each side's exact total is rounded
-    once, so every sum equals fsum over that side's full grid.
+    2^m: its mirror images have the same integer squared distance and the
+    weight multiplies exactly. Each term goes to the smallest side whose
+    half-width reaches the site's Chebyshev radius, and each side's exact total
+    is rounded once, so every unit sum equals fsum over that side's full grid.
     """
     halves = np.array(sorted({(s - 1) // 2 for s in sides}))
     if not halves.size:
         return []
     n = int(halves[-1]) + 1
     what = f"distance sum at L_c={L_c!r}"
-    # squared distances lie in [L_c², the far corner's] as the pass forms them; out
-    # of the normal range, sum the unit grid and multiply each sum by L_c^-alpha
-    spacing, scale, corner = L_c, 1.0, float(halves[-1]) * L_c
-    if not (_TINY <= L_c * L_c and sum([corner * corner] * D) < math.inf):
-        try:
-            spacing, scale = 1.0, L_c ** -alpha
-        except (OverflowError, ZeroDivisionError):
-            raise ValueError(f"{what} is not finite") from None
 
     def axis(lo, hi):
         # squared distances, mirror weights and the smallest side reaching each
         # index; a site's side is the largest of its coordinates' sides
-        i = np.arange(lo, hi)
-        return (i * float(spacing)) ** 2, np.where(i > 0, 2.0, 1.0), np.searchsorted(halves, i)
+        i = np.arange(lo, hi, dtype=float)
+        return i * i, np.where(i > 0, 2.0, 1.0), np.searchsorted(halves, i)
 
     totals = [0] * len(halves)
-    with np.errstate(over="ignore"):  # raised as ValueError below
-        sq, mirrors, sides_of = axis(0, n if D > 1 else 0)
-        rows = max(1, _SLAB_SITES // n ** (D - 1))
-        for start in range(0, n, rows):
-            d2, weight, owner = axis(start, min(start + rows, n))
-            for _ in range(D - 1):
-                d2, weight = np.add.outer(d2, sq), np.multiply.outer(weight, mirrors)
-                owner = np.maximum.outer(owner, sides_of)
-            first = 1 if start == 0 else 0  # drop the origin
-            d2, weight, owner = (a.ravel()[first:] for a in (d2, weight, owner))
-            terms = weight * d2 ** (-alpha / 2.0)
-            for g, t in enumerate(_exact_totals(terms, what, owner, len(halves))):
-                totals[g] += t
+    sq, mirrors, sides_of = axis(0, n if D > 1 else 0)
+    rows = max(1, _SLAB_SITES // n ** (D - 1))
+    for start in range(0, n, rows):
+        d2, weight, owner = axis(start, min(start + rows, n))
+        for _ in range(D - 1):
+            d2, weight = np.add.outer(d2, sq), np.multiply.outer(weight, mirrors)
+            owner = np.maximum.outer(owner, sides_of)
+        first = 1 if start == 0 else 0  # drop the origin
+        d2, weight, owner = (a.ravel()[first:] for a in (d2, weight, owner))
+        terms = weight * d2 ** (-alpha / 2.0)
+        for g, t in enumerate(_exact_totals(terms, what, owner, len(halves))):
+            totals[g] += t
+    scale = _lattice_factor(L_c, alpha)
     sums = [_rounded(t, what) * scale for t in itertools.accumulate(totals)]
     if not (_TINY <= sums[0] and sums[-1] < math.inf):  # the sums ascend with the side
         raise ValueError(f"{what} leaves the normal float range")
@@ -336,8 +323,9 @@ def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,
                        L_c: float = 1.0, sides=None) -> list[SweepPoint]:
     """Center-clock minimum dephasing rate versus N for one channel/case.
 
-    Sides must be odd so a true center clock exists. A rate below the
-    smallest normal float is refused, as a centre sum there is refused.
+    Sides must be odd so a true center clock exists. Each point is its unit
+    lattice's sum and estimate times L_c^-alpha, with their ratio from the unit
+    values; a sum, estimate or rate out of the normal float range is refused.
     """
     if (mode, case) not in _CENTER_RATES:
         raise ValueError(f"unsupported mode/case combination ({mode}, {case})")
@@ -349,15 +337,17 @@ def scaling_rate_sweep(D: int, mode: str, case: str, omega: float,
     if not 0 < L_c < math.inf:  # NaN fails too
         raise ValueError(f"lattice constant must be finite and positive, got {L_c!r}")
     alpha, center_rate = _CENTER_RATES[mode, case]
-    prefactor = dephasing_prefactor(omega)
+    prefactor, scale = dephasing_prefactor(omega), _lattice_factor(L_c, alpha)
 
     points = []
-    for side, s in zip(sides, _center_sums(D, sides, alpha, L_c)):
+    for side, unit_sum in zip(sides, _center_sums(D, sides, alpha, 1.0)):
         n = side ** D
-        est = continuum_sum(n, D, L_c, alpha).value
+        unit_est = continuum_sum(n, D, 1.0, alpha).value
+        s, est = unit_sum * scale, unit_est * scale
         rate = prefactor * center_rate(s, n)
-        if not rate >= _TINY:
-            raise ValueError(f"dephasing rate at N={n}, L_c={L_c!r} leaves the normal float range")
+        for what, v in (("distance sum", s), ("continuum estimate", est), ("dephasing rate", rate)):
+            if not _TINY <= v < math.inf:  # NaN fails too
+                raise ValueError(f"{what} at N={n}, L_c={L_c!r} leaves the normal float range")
         points.append(SweepPoint(N=n, exact_sum=s, continuum_estimate=est,
-                                 ratio=s / est, rate=rate))
+                                 ratio=unit_sum / unit_est, rate=rate))
     return points

@@ -474,9 +474,6 @@ NON_FINITE_CONFIGS = {
     "lattice_constant_inf": ("scaling", {"kind": "scaling-sweep", "parameters": {
         "dimension": 2, "mode": "pairwise", "case": "A-free",
         "lattice_constant": math.inf}}),
-    # a finite lattice constant whose cube overflows in the continuum estimate
-    "lattice_constant_cube_overflow": ("scaling", {"kind": "scaling-sweep", "parameters": {
-        "dimension": 3, "mode": "pairwise", "case": "A-free", "lattice_constant": 1e110}}),
     "gamma_clock_nan": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
         REDSHIFT_SIMPLE["parameters"], gamma_clock=math.nan))),
     "gamma_clock_inf": ("redshift", dict(REDSHIFT_SIMPLE, parameters=dict(
@@ -584,6 +581,34 @@ def test_non_finite_numbers_exit_3_without_artifacts(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: computation failed:") and "Warning" not in err
     assert "Traceback" not in err
+
+
+def test_sweep_at_a_lattice_constant_whose_cube_overflows_runs(tmp_path, capsys):
+    # it exited 3, though every value it reports is representable: at N = 125 the
+    # sum is near 5.7e-109 and the rate near 2.5e-157; each is the unit lattice's
+    # value times L_c^-1
+    def run(lattice_constant):
+        config = {"kind": "scaling-sweep", "parameters": {
+            "dimension": 3, "mode": "pairwise", "case": "A-free",
+            "lattice_constant": lattice_constant}}
+        out = tmp_path / repr(lattice_constant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["scaling", "--config", str(write_config(tmp_path, config)),
+                         "--out", str(out)])
+        assert code == 0
+        with open(out / "scaling.csv", newline="") as f, \
+                open(out / "scaling_plot.csv", newline="") as g:
+            return [[int(row["N"]), float(row["exact_sum"]), float(row["continuum_estimate"]),
+                     float(point["rate"])]
+                    for row, point in zip(csv.DictReader(f), csv.DictReader(g))]
+
+    vast, unit = run(1e110), run(1.0)
+    assert [row[0] for row in vast] == [side ** 3 for side in (5, 7, 9, 11, 15, 21, 27, 33, 41)]
+    assert vast[0][1] == approx(5.72e-109, rel=1e-3) and vast[0][3] == approx(2.49e-157, rel=1e-2)
+    for got, ref in zip(vast, unit):
+        assert got[1:] == [approx(value * 1e-110, rel=1e-15) for value in ref[1:]]
+    assert capsys.readouterr().err == ""
 
 
 def test_pairwise_free_minimum_squares_nothing(tmp_path, capsys):

@@ -11,6 +11,7 @@ from ccgclocks.cli import EXIT_COMPUTATION, main
 from ccgclocks.continuum import (
     DEFAULT_SIDES,
     ContinuumEstimate,
+    _CENTER_RATES,
     _SLAB_SITES,
     _center_sums,
     _exact_sum,
@@ -187,6 +188,16 @@ def test_exact_sum_rejects_non_finite_totals(terms):
         _exact_sum(np.array(terms), "sum X")
 
 
+def assert_unit_grid_fsum_times_factor(D, sides, alpha, L_c):
+    """_center_sums is fsum over each side's full unit grid times L_c^-alpha, bit
+    for bit, and at most 4 ulp from fsum over the grid of spacing L_c."""
+    sums = _center_sums(D, sides, alpha, L_c)
+    assert sums == [full_grid_fsum(D, side, alpha, 1.0) * L_c ** -alpha for side in sides]
+    for side, got in zip(sides, sums):
+        direct = full_grid_fsum(D, side, alpha, L_c)
+        assert abs(got - direct) <= 4 * math.ulp(direct)
+
+
 class TestCenterSumFast:
     """_center_sums, every side of a sweep in one pass, side by side against
     fsum over each side's full grid; sides come unsorted and repeated."""
@@ -197,16 +208,13 @@ class TestCenterSumFast:
     def test_orthant_fold_equals_full_grid_fsum(self, D, alpha, L_c):
         sides = [*DEFAULT_SIDES[D][1::2], *DEFAULT_SIDES[D][::2][::-1], DEFAULT_SIDES[D][1]]
         assert sorted(set(sides)) == sorted(DEFAULT_SIDES[D])
-        assert _center_sums(D, sides, alpha, L_c) == \
-            [full_grid_fsum(D, side, alpha, L_c) for side in sides]
+        assert_unit_grid_fsum_times_factor(D, sides, alpha, L_c)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([1, 2, 3]), st.lists(st.integers(1, 40), min_size=1, max_size=4),
            st.sampled_from([1.0, 2.0]), st.floats(1e-100, 1e100))
     def test_orthant_fold_property(self, D, halves, alpha, L_c):
-        sides = [2 * half + 1 for half in halves]
-        assert _center_sums(D, sides, alpha, L_c) == \
-            [full_grid_fsum(D, side, alpha, L_c) for side in sides]
+        assert_unit_grid_fsum_times_factor(D, [2 * half + 1 for half in halves], alpha, L_c)
 
     @pytest.mark.parametrize("alpha, L_c", [(2.0, 1e-170), (2.0, 1e-160), (1.0, 0.0),
                                             (1.0, 5e-308), (2.0, 1e160), (2.0, 1e200)])
@@ -287,10 +295,23 @@ class TestContinuumSum:
         with pytest.raises(ValueError):
             ContinuumEstimate(D=2, alpha=1.0, S_D=1.0, L_c=1.0, R=2.0, value=1.0)
 
+    @pytest.mark.parametrize("L_c, R, value", [
+        (1.0, math.nan, math.nan), (math.inf, math.inf, 1.0), (1.0, 2.0, -1.0),
+        (1.0, 2.0, math.inf), (1.0, math.inf, 1.0), (math.nan, 2.0, 1.0)])
+    def test_estimate_refuses_a_non_finite_field_or_a_negative_value(self, L_c, R, value):
+        # the first three were accepted
+        with pytest.raises(ValueError, match="need 0 < L_c <= R < inf and 0 <= value < inf"):
+            ContinuumEstimate(D=2, alpha=1.0, S_D=2 * math.pi, L_c=L_c, R=R, value=value)
+
+    def test_outer_radius_past_the_float_range_is_refused(self):
+        # 10**6 lattice constants of 1e305 m: R = inf beside a finite value
+        with pytest.raises(ValueError, match=re.escape("L_c=1e+305, R=inf")):
+            continuum_sum(10**6, 1, 1e305, 1.0)
+
     @pytest.mark.parametrize("args", [
         (25, 2, 1e-320, 1.0),   # L_c^-1 overflows
-        (125, 3, 1e110, 1.0),   # L_c^3 overflows: an OverflowError
         (125, 3, 1e-200, 2.0),  # L_c^-2 overflows
+        (25, 2, 1e200, 2.0),    # L_c^-2 underflows to 0.0
     ])
     def test_lattice_constant_whose_power_leaves_the_float_range(self, args):
         with pytest.raises(ValueError, match="out of the float range"):
@@ -300,6 +321,7 @@ class TestContinuumSum:
         (25, 2, 1e-170, 1.0),   # L_c^2 underflows to 0
         (125, 3, 1e-103, 2.0),  # L_c^3 is subnormal: the estimate is about 5.03e207
         (125, 3, 3e-103, 2.0),  # L_c^3 is normal, but 4*pi / L_c^3 overflows
+        (125, 3, 1e110, 1.0),   # L_c^3 overflows: the estimate is about 1.5e-108
     ])
     def test_lattice_constant_whose_power_leaves_the_range_is_factored_out(self, args):
         # S_D L_c^-alpha times the integral over [1, N^(1/D)] in lattice constants:
@@ -309,8 +331,9 @@ class TestContinuumSum:
         unit = continuum_sum(N, D, 1.0, alpha).value
         assert est.value == approx(unit * L_c ** -alpha, rel=1e-15)
 
-    def test_ordinary_lattice_constant_keeps_the_direct_form(self):
-        # factoring L_c out everywhere would move the last bit here
+    def test_ordinary_lattice_constant_keeps_its_value(self):
+        # the unit integral times L_c^-alpha: the same bits that S_D / L_c^3 times
+        # the integral over [L_c, R] gave here
         assert continuum_sum(125, 3, 1e-6, 2.0).value == 50265482457436.68
 
     @pytest.mark.parametrize("D", [1, 2, 3])
@@ -323,6 +346,19 @@ class TestContinuumSum:
             assert a.exact_sum == approx(b.exact_sum * 1e170, rel=1e-15)
             assert a.continuum_estimate == approx(b.continuum_estimate * 1e170, rel=1e-15)
             assert a.ratio == approx(b.ratio, rel=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.sampled_from(sorted(_CENTER_RATES)),
+           st.floats(1e-100, 1e100))
+    def test_sweep_is_the_unit_sweep_times_the_lattice_factor(self, D, mode_case, L_c):
+        # the ratio does not depend on L_c; sums and estimates scale exactly
+        factor = L_c ** -_CENTER_RATES[mode_case][0]
+        sides = [3, 5, 9, 21]
+        for got, unit in zip(scaling_rate_sweep(D, *mode_case, W15, L_c=L_c, sides=sides),
+                             scaling_rate_sweep(D, *mode_case, W15, L_c=1.0, sides=sides)):
+            assert got.ratio == unit.ratio
+            assert got.exact_sum == unit.exact_sum * factor
+            assert got.continuum_estimate == unit.continuum_estimate * factor
 
     @pytest.mark.parametrize("D, mode, case, omega, L_c", [
         (1, "pairwise", "A-free", 1e15, 1e300),  # exact sums near 3e-300, rates 0.0
